@@ -5,8 +5,43 @@
 /// the person nodes have a clustering coefficient of 1, which indicates a
 /// high degree of local clustering"), characteristic of scale-free and
 /// small-world networks versus random graphs.
+///
+/// It also gates the clustering kernel's wall time: the forward triangle
+/// listing (min-of-3, spread printed) must beat the merge-intersection
+/// reference it replaced by >= 10x on this network, with bit-identical
+/// coefficients. Writes BENCH_fig4_clustering.json.
+
+#include <algorithm>
+#include <thread>
 
 #include "bench_common.hpp"
+#include "clustering_oracle.hpp"
+
+namespace {
+
+constexpr int kKernelRepeats = 3;
+constexpr double kGateSpeedup = 10.0;
+
+struct Timing {
+  double best = 0.0;
+  double worst = 0.0;
+};
+
+/// Min-of-N wall seconds of `run`, keeping the last result in `out`.
+template <class Run>
+Timing timeRepeated(int repeats, std::vector<double>& out, Run&& run) {
+  Timing timing;
+  for (int repeat = 0; repeat < repeats; ++repeat) {
+    chisimnet::util::WallTimer timer;
+    out = run();
+    const double seconds = timer.seconds();
+    timing.best = repeat == 0 ? seconds : std::min(timing.best, seconds);
+    timing.worst = std::max(timing.worst, seconds);
+  }
+  return timing;
+}
+
+}  // namespace
 
 int main() {
   using namespace chisimnet;
@@ -26,9 +61,53 @@ int main() {
   std::cout << "network: " << fmtCount(network.vertexCount()) << " vertices, "
             << fmtCount(network.edgeCount()) << " edges\n";
 
-  util::WallTimer timer;
-  const auto coefficients = graph::localClusteringCoefficients(network);
-  std::cout << "clustering computed in " << fmt(timer.seconds(), 1) << " s\n\n";
+  JsonReport report("fig4_clustering");
+  report.put("vertices", std::uint64_t{network.vertexCount()});
+  report.put("edges", network.edgeCount());
+
+  // ---- kernel timing and the gate ------------------------------------------
+  const unsigned workers = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<double> coefficients;
+  const Timing kernel = timeRepeated(kKernelRepeats, coefficients, [&] {
+    return graph::localClusteringCoefficients(network, workers);
+  });
+  std::vector<double> serialCoefficients;
+  const Timing serial = timeRepeated(kKernelRepeats, serialCoefficients, [&] {
+    return graph::localClusteringCoefficients(network, 1);
+  });
+  // The reference runs once: at ~24 s on a 4-core host it dominates the
+  // bench, and the measured margin (~50x against the 10x bar) dwarfs its
+  // run-to-run spread.
+  std::vector<double> referenceCoefficients;
+  const Timing reference = timeRepeated(1, referenceCoefficients, [&] {
+    return graph::oracle::mergeIntersectionClustering(network);
+  });
+  const bool identical = coefficients == referenceCoefficients &&
+                         serialCoefficients == referenceCoefficients;
+  const double speedup = reference.best / kernel.best;
+  const auto spread = [](const Timing& timing) {
+    return fmt(100.0 * (timing.worst - timing.best) / timing.best, 0) + "%";
+  };
+  std::cout << "clustering kernel (min-of-" << kKernelRepeats << "): "
+            << fmt(kernel.best, 3) << " s at " << workers << " workers (spread "
+            << spread(kernel) << "), " << fmt(serial.best, 3)
+            << " s at 1 worker (spread " << spread(serial) << ")\n"
+            << "merge-intersection reference: " << fmt(reference.best, 3)
+            << " s\n\n";
+  printRow("kernel speedup vs reference", ">= 10x required",
+           fmt(speedup, 1) + "x", std::to_string(workers) + " workers");
+  printRow("kernel speedup, 1 worker", "", fmt(reference.best / serial.best, 1) + "x");
+  printRow("coefficients vs reference", "bit-identical",
+           identical ? "bit-identical" : "DIFFER");
+  report.put("workers", static_cast<int>(workers));
+  report.put("kernel_s", kernel.best);
+  report.put("kernel_spread_s", kernel.worst - kernel.best);
+  report.put("kernel_w1_s", serial.best);
+  report.put("kernel_w1_spread_s", serial.worst - serial.best);
+  report.put("reference_s", reference.best);
+  report.put("speedup", speedup);
+  report.put("bit_identical", identical);
+  std::cout << "\n";
 
   stats::Histogram histogram(0.0, 1.0, 20);
   histogram.addAll(coefficients);
@@ -87,9 +166,15 @@ int main() {
 
   const bool spike = atOne * 5 > coefficients.size() / 10;  // > 2% at 1.0
   const bool beatsRandom = meanCoefficient > 5.0 * randomMean;
+  const bool fastEnough = speedup >= kGateSpeedup;
+  report.put("gate_pass", fastEnough && identical);
   std::cout << "\nshape check: spike at 1.0 present: "
             << (spike ? "YES" : "NO")
             << "; clustering >> random graph: "
-            << (beatsRandom ? "YES (matches paper)" : "NO") << "\n";
-  return spike && beatsRandom ? 0 : 1;
+            << (beatsRandom ? "YES (matches paper)" : "NO")
+            << "\nkernel gate: >= " << fmt(kGateSpeedup, 0)
+            << "x over the reference, bit-identical: "
+            << (fastEnough && identical ? "PASS" : "FAIL") << "\n";
+  std::cout << "wrote " << report.write().string() << "\n";
+  return spike && beatsRandom && fastEnough && identical ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "chisimnet/graph/graph.hpp"
@@ -17,15 +18,20 @@ std::vector<std::uint64_t> degreeSequence(const Graph& graph);
 
 /// Local clustering coefficient per vertex: the ratio of closed triangles
 /// to connected triples centered on the vertex (Wasserman & Faust). By
-/// convention vertices with degree < 2 get coefficient 0.
-std::vector<double> localClusteringCoefficients(const Graph& graph);
+/// convention vertices with degree < 2 get coefficient 0. Triangles are
+/// listed once each in degree order across `workers` threads; the result
+/// is bit-identical for every worker count.
+std::vector<double> localClusteringCoefficients(
+    const Graph& graph, unsigned workers = std::thread::hardware_concurrency());
 
 /// Global transitivity: 3 x triangles / connected triples over the whole
 /// graph (0 for triple-free graphs).
-double globalTransitivity(const Graph& graph);
+double globalTransitivity(
+    const Graph& graph, unsigned workers = std::thread::hardware_concurrency());
 
 /// Total number of triangles in the graph.
-std::uint64_t triangleCount(const Graph& graph);
+std::uint64_t triangleCount(
+    const Graph& graph, unsigned workers = std::thread::hardware_concurrency());
 
 /// All vertices within `radius` hops of `source` (including the source),
 /// sorted ascending. Radius 0 yields just the source.

@@ -7,9 +7,94 @@
 
 namespace chisimnet::graph {
 
-Graph Graph::fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets) {
-  // Collect and compact the person ids that appear.
+namespace {
+
+/// A dense label table costs 4 bytes per label up to the largest one. It
+/// is used only when that range is within this many entries per input item
+/// (triplet or listed label), so a hostile label cannot size the table.
+constexpr std::uint64_t kDenseLabelsPerItem = 4;
+
+bool denseLabelsFit(std::uint32_t maxLabel, std::uint64_t items) {
+  return maxLabel < kDenseLabelsPerItem * items;
+}
+
+/// Maps original labels to compact vertex ids, their ranks in a sorted
+/// unique label list: by dense table when the label range allows, by
+/// binary search otherwise.
+class LabelIndex {
+ public:
+  LabelIndex(std::span<const std::uint32_t> labels, std::uint64_t items)
+      : labels_(labels) {
+    if (!labels.empty() && denseLabelsFit(labels.back(), items)) {
+      table_.assign(std::uint64_t{labels.back()} + 1, kAbsent);
+      for (std::size_t k = 0; k < labels.size(); ++k) {
+        table_[labels[k]] = static_cast<Vertex>(k);
+      }
+    }
+  }
+
+  Vertex operator()(std::uint32_t label) const {
+    if (!table_.empty()) {
+      const Vertex vertex = label < table_.size() ? table_[label] : kAbsent;
+      CHISIM_REQUIRE(vertex != kAbsent,
+                     "triplet endpoint missing from vertex label universe");
+      return vertex;
+    }
+    const auto it = std::lower_bound(labels_.begin(), labels_.end(), label);
+    CHISIM_REQUIRE(it != labels_.end() && *it == label,
+                   "triplet endpoint missing from vertex label universe");
+    return static_cast<Vertex>(it - labels_.begin());
+  }
+
+ private:
+  static constexpr Vertex kAbsent = ~Vertex{0};
+  std::span<const std::uint32_t> labels_;
+  std::vector<Vertex> table_;
+};
+
+/// True for strictly (i, j)-ascending triplets with i < j: the order CADJ
+/// files and SymmetricAdjacency::toTriplets produce. Such input has no
+/// duplicate pairs and no self-loops.
+bool strictlyAscendingUpper(
+    std::span<const sparse::AdjacencyTriplet> triplets) {
+  for (std::size_t k = 0; k < triplets.size(); ++k) {
+    const sparse::AdjacencyTriplet& triplet = triplets[k];
+    if (triplet.i >= triplet.j) {
+      return false;
+    }
+    if (k > 0) {
+      const sparse::AdjacencyTriplet& previous = triplets[k - 1];
+      if (previous.i > triplet.i ||
+          (previous.i == triplet.i && previous.j >= triplet.j)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// The sorted unique endpoint labels: marked in a dense table when the
+/// label range allows, sorted otherwise.
+std::vector<std::uint32_t> endpointLabels(
+    std::span<const sparse::AdjacencyTriplet> triplets) {
+  std::uint32_t maxLabel = 0;
+  for (const sparse::AdjacencyTriplet& triplet : triplets) {
+    maxLabel = std::max({maxLabel, triplet.i, triplet.j});
+  }
   std::vector<std::uint32_t> labels;
+  if (denseLabelsFit(maxLabel, triplets.size())) {
+    std::vector<std::uint8_t> seen(std::uint64_t{maxLabel} + 1, 0);
+    for (const sparse::AdjacencyTriplet& triplet : triplets) {
+      seen[triplet.i] = 1;
+      seen[triplet.j] = 1;
+    }
+    for (std::uint64_t label = 0; label < seen.size(); ++label) {
+      if (seen[label] != 0) {
+        labels.push_back(static_cast<std::uint32_t>(label));
+      }
+    }
+    return labels;
+  }
   labels.reserve(triplets.size() * 2);
   for (const sparse::AdjacencyTriplet& triplet : triplets) {
     labels.push_back(triplet.i);
@@ -17,7 +102,13 @@ Graph Graph::fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets) {
   }
   std::sort(labels.begin(), labels.end());
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-  return fromTriplets(triplets, labels);
+  return labels;
+}
+
+}  // namespace
+
+Graph Graph::fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets) {
+  return fromTriplets(triplets, endpointLabels(triplets));
 }
 
 Graph Graph::fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets,
@@ -26,12 +117,18 @@ Graph Graph::fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets,
   std::sort(labels.begin(), labels.end());
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
 
-  const auto compact = [&labels](std::uint32_t id) {
-    const auto it = std::lower_bound(labels.begin(), labels.end(), id);
-    CHISIM_REQUIRE(it != labels.end() && *it == id,
-                   "triplet endpoint missing from vertex label universe");
-    return static_cast<Vertex>(it - labels.begin());
-  };
+  const LabelIndex compact(labels, triplets.size() + labels.size());
+  if (strictlyAscendingUpper(triplets)) {
+    // Compaction is monotone, so the compact pairs stay strictly ascending.
+    Graph graph = fromSortedUpper(
+        triplets,
+        [&compact](const sparse::AdjacencyTriplet& triplet) {
+          return std::pair{compact(triplet.i), compact(triplet.j)};
+        },
+        labels.size());
+    graph.labels_ = std::move(labels);
+    return graph;
+  }
 
   std::vector<Edge> edges;
   edges.reserve(triplets.size());
@@ -55,7 +152,7 @@ Graph Graph::fromEdges(std::span<const Edge> edges, Vertex vertexCount) {
 }
 
 Graph Graph::build(std::vector<Edge> edges, std::vector<std::uint32_t> labels) {
-  // Canonicalize, sort and merge parallel edges.
+  // Canonicalize, sort and merge parallel edges in place.
   for (Edge& edge : edges) {
     if (edge.u > edge.v) {
       std::swap(edge.u, edge.v);
@@ -64,52 +161,49 @@ Graph Graph::build(std::vector<Edge> edges, std::vector<std::uint32_t> labels) {
   std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
     return a.u != b.u ? a.u < b.u : a.v < b.v;
   });
-  std::vector<Edge> merged;
-  merged.reserve(edges.size());
-  for (const Edge& edge : edges) {
-    if (!merged.empty() && merged.back().u == edge.u && merged.back().v == edge.v) {
-      merged.back().weight += edge.weight;
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const Edge edge = edges[k];
+    if (kept > 0 && edges[kept - 1].u == edge.u && edges[kept - 1].v == edge.v) {
+      edges[kept - 1].weight += edge.weight;
     } else {
-      merged.push_back(edge);
+      edges[kept++] = edge;
     }
   }
+  edges.resize(kept);
 
-  Graph graph;
+  Graph graph = fromSortedUpper(
+      std::span<const Edge>(edges),
+      [](const Edge& edge) { return std::pair{edge.u, edge.v}; },
+      labels.size());
   graph.labels_ = std::move(labels);
-  const std::size_t n = graph.labels_.size();
-  graph.offsets_.assign(n + 1, 0);
-  for (const Edge& edge : merged) {
-    ++graph.offsets_[edge.u + 1];
-    ++graph.offsets_[edge.v + 1];
+  return graph;
+}
+
+template <class Row, class Endpoints>
+Graph Graph::fromSortedUpper(std::span<const Row> rows,
+                             const Endpoints& endpoints,
+                             std::size_t vertexCount) {
+  Graph graph;
+  graph.offsets_.assign(vertexCount + 1, 0);
+  for (const Row& row : rows) {
+    const auto [u, v] = endpoints(row);
+    ++graph.offsets_[u + 1];
+    ++graph.offsets_[v + 1];
   }
-  for (std::size_t v = 1; v <= n; ++v) {
+  for (std::size_t v = 1; v <= vertexCount; ++v) {
     graph.offsets_[v] += graph.offsets_[v - 1];
   }
-  graph.neighbors_.resize(merged.size() * 2);
-  graph.weights_.resize(merged.size() * 2);
+  graph.neighbors_.resize(rows.size() * 2);
+  graph.weights_.resize(rows.size() * 2);
   std::vector<std::uint64_t> cursor(graph.offsets_.begin(),
                                     graph.offsets_.end() - 1);
-  for (const Edge& edge : merged) {
-    graph.neighbors_[cursor[edge.u]] = edge.v;
-    graph.weights_[cursor[edge.u]++] = edge.weight;
-    graph.neighbors_[cursor[edge.v]] = edge.u;
-    graph.weights_[cursor[edge.v]++] = edge.weight;
-  }
-
-  // Sort each adjacency row by neighbor id (weights permuted alongside).
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::uint64_t begin = graph.offsets_[v];
-    const std::uint64_t end = graph.offsets_[v + 1];
-    std::vector<std::pair<Vertex, Weight>> row;
-    row.reserve(end - begin);
-    for (std::uint64_t i = begin; i < end; ++i) {
-      row.emplace_back(graph.neighbors_[i], graph.weights_[i]);
-    }
-    std::sort(row.begin(), row.end());
-    for (std::uint64_t i = begin; i < end; ++i) {
-      graph.neighbors_[i] = row[i - begin].first;
-      graph.weights_[i] = row[i - begin].second;
-    }
+  for (const Row& row : rows) {
+    const auto [u, v] = endpoints(row);
+    graph.neighbors_[cursor[u]] = v;
+    graph.weights_[cursor[u]++] = row.weight;
+    graph.neighbors_[cursor[v]] = u;
+    graph.weights_[cursor[v]++] = row.weight;
   }
   return graph;
 }

@@ -14,8 +14,8 @@
 /// matrix (paper §IV-V): vertices are persons, edge weights are collocated
 /// person-hours. Vertex ids are compacted to [0, n); the original person ids
 /// are retained as labels so analyses can join back to demographic data.
-/// Neighbor lists are sorted by vertex id, which the clustering and
-/// subgraph algorithms rely on for O(d1+d2) intersections.
+/// Neighbor lists are sorted by vertex id, which subgraph extraction and
+/// edge lookups rely on.
 
 namespace chisimnet::graph {
 
@@ -38,7 +38,9 @@ class Graph {
 
   /// Same, but over an explicit vertex universe: `vertexLabels` lists every
   /// vertex (by original id) that must exist, including isolated ones;
-  /// every triplet endpoint must be in the list.
+  /// every triplet endpoint must be in the list. Strictly (i, j)-ascending
+  /// triplets with i < j (the CADJ order) take a sort-free CSR fill; any
+  /// other order is sorted and its duplicate pairs merged first.
   static Graph fromTriplets(std::span<const sparse::AdjacencyTriplet> triplets,
                             std::span<const std::uint32_t> vertexLabels);
 
@@ -81,7 +83,17 @@ class Graph {
   std::size_t memoryBytes() const noexcept;
 
  private:
+  /// General path: canonicalizes, sorts and merges parallel edges.
   static Graph build(std::vector<Edge> edges, std::vector<std::uint32_t> labels);
+
+  /// Fills the CSR (without labels) from rows whose compact endpoints
+  /// (u, v) = endpoints(row) are strictly ascending with u < v. Writing v
+  /// into row u and u into row v then leaves every row sorted, because all
+  /// (x, v) with x < v precede all (v, y).
+  template <class Row, class Endpoints>
+  static Graph fromSortedUpper(std::span<const Row> rows,
+                               const Endpoints& endpoints,
+                               std::size_t vertexCount);
 
   std::vector<std::uint64_t> offsets_;  ///< size n+1
   std::vector<Vertex> neighbors_;       ///< both directions, sorted per row

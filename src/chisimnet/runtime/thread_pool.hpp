@@ -79,6 +79,13 @@ class ThreadPool {
 void parallelFor(std::uint64_t count, unsigned workers,
                  const std::function<void(std::uint64_t)>& body);
 
+/// Same chunking, and body(i, slot) also receives the slot in [0, workers)
+/// of the thread running it. No two concurrent calls share a slot, so
+/// per-slot scratch (bitmaps, counters) needs no locking.
+void parallelForSlots(
+    std::uint64_t count, unsigned workers,
+    const std::function<void(std::uint64_t, unsigned)>& body);
+
 /// Timing record of one treeReduce() call. `criticalSeconds` sums the
 /// slowest merge of each level — the modeled parallel time of the tree,
 /// which is what a multi-core host would observe (this repo's benches run

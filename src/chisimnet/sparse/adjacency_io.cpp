@@ -14,6 +14,8 @@ namespace {
 constexpr char kMagic[4] = {'C', 'A', 'D', 'J'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kRowBytes = 4 + 4 + 8;
+constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8;  // magic, version, count
+constexpr std::uint64_t kRowsPerChunk = 64 * 1024;  // 1 MiB decode buffer
 
 }  // namespace
 
@@ -53,40 +55,79 @@ void saveAdjacency(const SymmetricAdjacency& adjacency,
   saveTriplets(triplets, path);
 }
 
+CadjError::CadjError(std::filesystem::path file, std::uint64_t byteOffset,
+                     const std::string& reason)
+    : std::runtime_error("CADJ file " + file.string() + " at byte offset " +
+                         std::to_string(byteOffset) + ": " + reason),
+      file_(std::move(file)),
+      byteOffset_(byteOffset),
+      reason_(reason) {}
+
 std::vector<AdjacencyTriplet> loadTriplets(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   CHISIM_CHECK(in.good(), "cannot open adjacency file: " + path.string());
+  const auto fail = [&path](std::uint64_t offset, const std::string& reason) {
+    throw CadjError(path, offset, reason);
+  };
+  const std::uint64_t fileBytes = std::filesystem::file_size(path);
+  const std::uint64_t framing = kHeaderBytes + 4;  // header + CRC footer
   char magic[4];
   in.read(magic, 4);
-  CHISIM_CHECK(in.gcount() == 4 && std::equal(magic, magic + 4, kMagic),
-               "not a CADJ file: " + path.string());
-  CHISIM_CHECK(util::readU32(in) == kVersion, "unsupported CADJ version");
+  if (in.gcount() != 4 || !std::equal(magic, magic + 4, kMagic)) {
+    fail(0, "not a CADJ file");
+  }
+  if (fileBytes < framing) {
+    fail(4, "file of " + std::to_string(fileBytes) +
+                " bytes is shorter than the CADJ framing");
+  }
+  const std::uint32_t version = util::readU32(in);
+  if (version != kVersion) {
+    fail(4, "unsupported CADJ version " + std::to_string(version));
+  }
+  // The file must be exactly header + count rows + footer. Checked before
+  // anything is sized by the untrusted count, without overflowing.
   const std::uint64_t count = util::readU64(in);
-
-  std::vector<std::byte> payload(count * kRowBytes);
-  util::readBytes(in, payload);
-  const std::uint32_t storedCrc = util::readU32(in);
-  CHISIM_CHECK(storedCrc == util::crc32(payload),
-               "adjacency CRC mismatch (corrupt or truncated): " +
-                   path.string());
+  const std::uint64_t payloadBytes = fileBytes - framing;
+  if (payloadBytes % kRowBytes != 0 || count != payloadBytes / kRowBytes) {
+    fail(8, "header count " + std::to_string(count) + " does not match the " +
+                std::to_string(fileBytes) + "-byte file, which holds " +
+                std::to_string(payloadBytes / kRowBytes) + " rows and " +
+                std::to_string(payloadBytes % kRowBytes) + " stray bytes");
+  }
 
   std::vector<AdjacencyTriplet> triplets(count);
-  std::size_t cursor = 0;
-  const auto take32 = [&payload, &cursor]() {
-    const std::uint32_t value =
-        static_cast<std::uint32_t>(payload[cursor]) |
-        (static_cast<std::uint32_t>(payload[cursor + 1]) << 8) |
-        (static_cast<std::uint32_t>(payload[cursor + 2]) << 16) |
-        (static_cast<std::uint32_t>(payload[cursor + 3]) << 24);
-    cursor += 4;
-    return value;
-  };
-  for (AdjacencyTriplet& triplet : triplets) {
-    triplet.i = take32();
-    triplet.j = take32();
-    const std::uint64_t low = take32();
-    const std::uint64_t high = take32();
-    triplet.weight = low | (high << 32);
+  std::vector<std::byte> chunk(kRowBytes *
+                               std::min<std::uint64_t>(count, kRowsPerChunk));
+  std::uint32_t crc = 0;
+  for (std::uint64_t done = 0; done < count;) {
+    const std::uint64_t rows =
+        std::min<std::uint64_t>(count - done, kRowsPerChunk);
+    const std::span<std::byte> bytes(chunk.data(), rows * kRowBytes);
+    util::readBytes(in, bytes);
+    crc = util::crc32(bytes, crc);  // chained: equals crc32(whole payload)
+    std::size_t cursor = 0;
+    const auto take32 = [&bytes, &cursor]() {
+      const std::uint32_t value =
+          static_cast<std::uint32_t>(bytes[cursor]) |
+          (static_cast<std::uint32_t>(bytes[cursor + 1]) << 8) |
+          (static_cast<std::uint32_t>(bytes[cursor + 2]) << 16) |
+          (static_cast<std::uint32_t>(bytes[cursor + 3]) << 24);
+      cursor += 4;
+      return value;
+    };
+    for (std::uint64_t row = done; row < done + rows; ++row) {
+      AdjacencyTriplet& triplet = triplets[row];
+      triplet.i = take32();
+      triplet.j = take32();
+      const std::uint64_t low = take32();
+      const std::uint64_t high = take32();
+      triplet.weight = low | (high << 32);
+    }
+    done += rows;
+  }
+  if (util::readU32(in) != crc) {
+    fail(kHeaderBytes + count * kRowBytes,
+         "adjacency CRC mismatch (corrupt or truncated)");
   }
   return triplets;
 }

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chisimnet/sparse/adjacency.hpp"
@@ -27,7 +29,27 @@ void saveAdjacency(const SymmetricAdjacency& adjacency,
 void saveTriplets(std::span<const AdjacencyTriplet> triplets,
                   const std::filesystem::path& path);
 
-/// Loads triplets; validates magic, version and CRC.
+/// CADJ decode failure: the file, the byte offset the failure was detected
+/// at, and the reason, all of it also in what().
+class CadjError : public std::runtime_error {
+ public:
+  CadjError(std::filesystem::path file, std::uint64_t byteOffset,
+            const std::string& reason);
+
+  const std::filesystem::path& file() const noexcept { return file_; }
+  std::uint64_t byteOffset() const noexcept { return byteOffset_; }
+  /// The underlying failure, without the location prefix.
+  const std::string& reason() const noexcept { return reason_; }
+
+ private:
+  std::filesystem::path file_;
+  std::uint64_t byteOffset_;
+  std::string reason_;
+};
+
+/// Loads triplets; validates magic, version, the header count against the
+/// file size (before allocating), and the CRC. The payload is decoded in
+/// bounded chunks, so only the triplets are held in full. Throws CadjError.
 std::vector<AdjacencyTriplet> loadTriplets(const std::filesystem::path& path);
 
 /// Loads into an accumulator (e.g. to sum stored partial matrices).

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <string>
 
 #include "chisimnet/graph/algorithms.hpp"
 #include "chisimnet/graph/generators.hpp"
@@ -191,7 +192,12 @@ TEST(WeightedStats, MeanNeighborDegree) {
 class AdjacencyIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "chisimnet_adj_io";
+    // One directory per test: ctest runs the cases as concurrent processes,
+    // and a shared one would be removed under a running neighbor.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("chisimnet_adj_io_" + std::string(::testing::UnitTest::GetInstance()
+                                                  ->current_test_info()
+                                                  ->name()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -269,6 +275,86 @@ TEST_F(AdjacencyIoTest, NotAnAdjacencyFileRejected) {
     out << "hello";
   }
   EXPECT_THROW(sparse::loadTriplets(path), std::runtime_error);
+}
+
+/// Overwrites the header's edge count (bytes 8..15, little-endian).
+void forgeCount(const std::filesystem::path& path, std::uint64_t count) {
+  std::fstream stream(path, std::ios::binary | std::ios::in | std::ios::out);
+  stream.seekp(8);
+  for (int shift = 0; shift < 64; shift += 8) {
+    stream.put(static_cast<char>(count >> shift));
+  }
+}
+
+/// Loads `path` expecting a CadjError at `offset` naming the file.
+void expectCadjError(const std::filesystem::path& path, std::uint64_t offset,
+                     const std::string& reasonPart) {
+  try {
+    sparse::loadTriplets(path);
+    FAIL() << "load should have been rejected";
+  } catch (const sparse::CadjError& error) {
+    EXPECT_EQ(error.file(), path);
+    EXPECT_EQ(error.byteOffset(), offset);
+    EXPECT_NE(error.reason().find(reasonPart), std::string::npos)
+        << error.what();
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+    EXPECT_NE(what.find("byte offset " + std::to_string(offset)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST_F(AdjacencyIoTest, ForgedHugeCountRejectedBeforeAllocating) {
+  // An 80-byte file claiming 2^59 rows: allocating them would need 8 EiB.
+  const auto path = dir_ / "forged.cadj";
+  sparse::saveAdjacency(randomAdjacency(6, 4), path);
+  std::filesystem::resize_file(path, 80);
+  forgeCount(path, std::uint64_t{1} << 59);
+  expectCadjError(path, 8, "header count");
+  // A count whose byte size overflows 64 bits is caught the same way.
+  forgeCount(path, ~std::uint64_t{0});
+  expectCadjError(path, 8, "header count");
+}
+
+TEST_F(AdjacencyIoTest, CountOffByOneRejected) {
+  const auto path = dir_ / "offbyone.cadj";
+  sparse::saveAdjacency(randomAdjacency(7, 50), path);
+  const std::uint64_t count = sparse::loadTriplets(path).size();
+  forgeCount(path, count + 1);
+  expectCadjError(path, 8, "header count");
+  forgeCount(path, count - 1);
+  expectCadjError(path, 8, "header count");
+}
+
+TEST_F(AdjacencyIoTest, TruncatedPayloadNamesFileAndOffset) {
+  const auto path = dir_ / "truncated.cadj";
+  sparse::saveAdjacency(randomAdjacency(8, 50), path);
+  const auto size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, size - 16 - 4);  // one row + footer
+  expectCadjError(path, 8, "header count");
+  std::filesystem::resize_file(path, 12);  // inside the header
+  expectCadjError(path, 4, "shorter than the CADJ framing");
+}
+
+TEST_F(AdjacencyIoTest, CrcMismatchNamesFooterOffset) {
+  const auto path = dir_ / "flipped.cadj";
+  sparse::saveAdjacency(randomAdjacency(9, 50), path);
+  const std::uint64_t count = sparse::loadTriplets(path).size();
+  {
+    std::fstream stream(path, std::ios::binary | std::ios::in | std::ios::out);
+    stream.seekp(16 + 3);
+    stream.put('\x7f');
+  }
+  expectCadjError(path, 16 + 16 * count, "CRC mismatch");
+}
+
+TEST_F(AdjacencyIoTest, MultiChunkPayloadRoundTrips) {
+  // More rows than one decode chunk, so the chained CRC spans chunks.
+  const auto adjacency = randomAdjacency(10, 150000);
+  const auto path = dir_ / "chunks.cadj";
+  sparse::saveAdjacency(adjacency, path);
+  EXPECT_EQ(sparse::loadTriplets(path), adjacency.toTriplets());
 }
 
 TEST_F(AdjacencyIoTest, SummingStoredPartials) {

@@ -4,14 +4,19 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <numeric>
 #include <sstream>
+#include <string>
 
 #include "chisimnet/graph/algorithms.hpp"
 #include "chisimnet/graph/generators.hpp"
 #include "chisimnet/graph/graph.hpp"
 #include "chisimnet/graph/io.hpp"
 #include "chisimnet/graph/layout.hpp"
+#include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "clustering_oracle.hpp"
 
 namespace chisimnet::graph {
 namespace {
@@ -84,6 +89,123 @@ TEST(Graph, FromTripletsMissingLabelRejected) {
   EXPECT_THROW(Graph::fromTriplets(triplets, universe), std::invalid_argument);
 }
 
+/// Same vertices, labels, rows and weights, element by element.
+void expectSameGraph(const Graph& actual, const Graph& expected) {
+  ASSERT_EQ(actual.vertexCount(), expected.vertexCount());
+  ASSERT_EQ(actual.edgeCount(), expected.edgeCount());
+  ASSERT_TRUE(std::ranges::equal(actual.labels(), expected.labels()));
+  for (Vertex v = 0; v < actual.vertexCount(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(actual.neighbors(v), expected.neighbors(v)))
+        << "row " << v;
+    ASSERT_TRUE(
+        std::ranges::equal(actual.edgeWeights(v), expected.edgeWeights(v)))
+        << "row " << v;
+  }
+}
+
+/// Sorted upper triplets (the CADJ order) over labels [0, labelRange).
+std::vector<sparse::AdjacencyTriplet> randomSortedTriplets(
+    std::uint64_t seed, std::uint32_t labelRange, std::size_t adds) {
+  util::Rng rng(seed);
+  sparse::SymmetricAdjacency adjacency(adds);
+  for (std::size_t k = 0; k < adds; ++k) {
+    const auto u = static_cast<std::uint32_t>(rng.uniformBelow(labelRange));
+    const auto v = static_cast<std::uint32_t>(rng.uniformBelow(labelRange));
+    if (u != v) {
+      adjacency.add(u, v, 1 + rng.uniformBelow(1000));
+    }
+  }
+  return adjacency.toTriplets();
+}
+
+std::vector<sparse::AdjacencyTriplet> shuffled(
+    std::vector<sparse::AdjacencyTriplet> triplets, std::uint64_t seed) {
+  util::Rng rng(seed);
+  rng.shuffle(triplets);
+  return triplets;
+}
+
+TEST(GraphBuild, SortedFastPathMatchesGeneralPath) {
+  const auto sorted = randomSortedTriplets(31, 3000, 20000);
+  const Graph fast = Graph::fromTriplets(sorted);
+  expectSameGraph(fast, Graph::fromTriplets(shuffled(sorted, 1)));
+
+  // Against fromEdges over the compact ids: the general path end to end.
+  std::vector<Edge> edges;
+  for (const sparse::AdjacencyTriplet& triplet : sorted) {
+    edges.push_back(Edge{*fast.vertexForLabel(triplet.j),
+                         *fast.vertexForLabel(triplet.i), triplet.weight});
+  }
+  const Graph viaEdges = Graph::fromEdges(edges, fast.vertexCount());
+  ASSERT_EQ(viaEdges.vertexCount(), fast.vertexCount());
+  for (Vertex v = 0; v < fast.vertexCount(); ++v) {
+    ASSERT_TRUE(std::ranges::equal(fast.neighbors(v), viaEdges.neighbors(v)));
+    ASSERT_TRUE(
+        std::ranges::equal(fast.edgeWeights(v), viaEdges.edgeWeights(v)));
+  }
+}
+
+TEST(GraphBuild, ReversedPairsMatchSorted) {
+  const auto sorted = randomSortedTriplets(32, 500, 4000);
+  auto reversed = sorted;
+  for (std::size_t k = 0; k < reversed.size(); k += 2) {
+    std::swap(reversed[k].i, reversed[k].j);
+  }
+  expectSameGraph(Graph::fromTriplets(reversed), Graph::fromTriplets(sorted));
+}
+
+TEST(GraphBuild, DuplicatePairsMergeBySummingWeights) {
+  const auto sorted = randomSortedTriplets(33, 500, 4000);
+  // Split every third pair into two adjacent entries carrying its weight.
+  std::vector<sparse::AdjacencyTriplet> split;
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    sparse::AdjacencyTriplet triplet = sorted[k];
+    if (k % 3 == 0 && triplet.weight > 1) {
+      split.push_back({triplet.i, triplet.j, 1});
+      triplet.weight -= 1;
+    }
+    split.push_back(triplet);
+  }
+  expectSameGraph(Graph::fromTriplets(split), Graph::fromTriplets(sorted));
+}
+
+TEST(GraphBuild, UniverseWithIsolatedVerticesMatchesGeneralPath) {
+  const auto sorted = randomSortedTriplets(34, 400, 3000);
+  std::vector<std::uint32_t> universe(450);
+  std::iota(universe.begin(), universe.end(), 0u);
+  universe.push_back(9000);  // isolated, beyond every endpoint
+  const Graph fast = Graph::fromTriplets(sorted, universe);
+  EXPECT_EQ(fast.vertexCount(), universe.size());
+  EXPECT_EQ(fast.degree(*fast.vertexForLabel(9000)), 0u);
+  expectSameGraph(fast, Graph::fromTriplets(shuffled(sorted, 2), universe));
+}
+
+TEST(GraphBuild, SparseLabelNearMaxUsesNoLabelSizedTable) {
+  // A dense table sized by these labels would need 16 GiB; the build must
+  // fall back to binary search and finish instantly.
+  constexpr std::uint32_t kTop = std::numeric_limits<std::uint32_t>::max();
+  const std::vector<sparse::AdjacencyTriplet> sorted{
+      {3, 7, 2}, {3, kTop - 1, 5}, {7, kTop, 1}, {kTop - 1, kTop, 4}};
+  const Graph fast = Graph::fromTriplets(sorted);
+  EXPECT_EQ(fast.vertexCount(), 4u);
+  EXPECT_EQ(fast.label(3), kTop);
+  EXPECT_EQ(fast.weightBetween(*fast.vertexForLabel(kTop - 1),
+                               *fast.vertexForLabel(kTop)),
+            4u);
+  expectSameGraph(fast, Graph::fromTriplets(shuffled(sorted, 3)));
+
+  const std::vector<std::uint32_t> universe{3, 7, 100, kTop - 1, kTop};
+  expectSameGraph(Graph::fromTriplets(sorted, universe),
+                  Graph::fromTriplets(shuffled(sorted, 4), universe));
+  const std::vector<std::uint32_t> missing{3, 7, kTop};
+  EXPECT_THROW(Graph::fromTriplets(sorted, missing), std::invalid_argument);
+}
+
+TEST(GraphBuild, SelfLoopTripletRejected) {
+  const std::vector<sparse::AdjacencyTriplet> loop{{1, 2, 1}, {4, 4, 1}};
+  EXPECT_THROW(Graph::fromTriplets(loop), std::invalid_argument);
+}
+
 TEST(Algorithms, DegreeSequence) {
   const Graph graph = triangleWithTail();
   EXPECT_EQ(degreeSequence(graph),
@@ -137,21 +259,145 @@ std::vector<double> bruteForceClustering(const Graph& graph) {
   return coefficients;
 }
 
+/// Brute-force triangle count: every vertex triple u < v < w.
+std::uint64_t bruteForceTriangles(const Graph& graph) {
+  std::uint64_t triangles = 0;
+  for (Vertex u = 0; u < graph.vertexCount(); ++u) {
+    for (Vertex v : graph.neighbors(u)) {
+      for (Vertex w : graph.neighbors(v)) {
+        triangles += (u < v && v < w && graph.hasEdge(u, w)) ? 1 : 0;
+      }
+    }
+  }
+  return triangles;
+}
+
+/// Coefficient vectors must agree to the bit, not within a tolerance: both
+/// sides divide the same integers.
+void expectBitIdentical(const std::vector<double>& actual,
+                        const std::vector<double>& expected,
+                        const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t v = 0; v < actual.size(); ++v) {
+    ASSERT_EQ(actual[v], expected[v]) << what << ", vertex " << v;
+  }
+}
+
 class ClusteringProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ClusteringProperty, MatchesBruteForceOnRandomGraphs) {
   util::Rng rng(GetParam());
   const Graph graph = erdosRenyi(60, 240, rng);
-  const auto fast = localClusteringCoefficients(graph);
-  const auto reference = bruteForceClustering(graph);
-  ASSERT_EQ(fast.size(), reference.size());
-  for (std::size_t v = 0; v < fast.size(); ++v) {
-    EXPECT_NEAR(fast[v], reference[v], 1e-12) << "vertex " << v;
-  }
+  expectBitIdentical(localClusteringCoefficients(graph),
+                     bruteForceClustering(graph), "brute force");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusteringProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+/// Shapes that stress the forward-listing kernel: hub rows, degree ties,
+/// isolated vertices and the empty graph.
+struct KernelShape {
+  std::string name;
+  Graph (*make)();
+};
+
+Graph barabasiAlbertHubs() {
+  util::Rng rng(41);
+  return barabasiAlbert(400, 4, rng);
+}
+
+/// A 40-leaf star whose center also belongs to a 12-clique, plus leaves
+/// wired into a few triangles: one hub row, many degree ties.
+Graph starGluedToClique() {
+  std::vector<Edge> edges;
+  const Vertex hub = 0;
+  for (Vertex leaf = 1; leaf <= 40; ++leaf) {
+    edges.push_back(Edge{hub, leaf, 1});
+  }
+  for (Vertex a = 41; a < 52; ++a) {
+    edges.push_back(Edge{hub, a, 1});
+    for (Vertex b = a + 1; b < 52; ++b) {
+      edges.push_back(Edge{a, b, 1});
+    }
+  }
+  for (Vertex leaf = 1; leaf + 1 <= 40; leaf += 4) {
+    edges.push_back(Edge{leaf, static_cast<Vertex>(leaf + 1), 1});
+  }
+  return Graph::fromEdges(edges, 52);
+}
+
+Graph withIsolatedVertices() {
+  util::Rng rng(43);
+  const Graph dense = erdosRenyi(30, 150, rng);
+  std::vector<Edge> edges;
+  for (Vertex u = 0; u < dense.vertexCount(); ++u) {
+    for (Vertex v : dense.neighbors(u)) {
+      if (u < v) {
+        edges.push_back(Edge{2 * u + 1, 2 * v + 1, 1});  // evens isolated
+      }
+    }
+  }
+  return Graph::fromEdges(edges, 61);
+}
+
+Graph emptyGraph() { return Graph(); }
+
+Graph edgelessGraph() { return Graph::fromEdges({}, 5); }
+
+Graph completeGraph() {
+  std::vector<Edge> edges;
+  for (Vertex u = 0; u < 9; ++u) {
+    for (Vertex v = u + 1; v < 9; ++v) {
+      edges.push_back(Edge{u, v, 1});
+    }
+  }
+  return Graph::fromEdges(edges, 9);
+}
+
+class ClusteringKernel : public ::testing::TestWithParam<KernelShape> {};
+
+TEST_P(ClusteringKernel, BitIdenticalToOraclesForEveryWorkerCount) {
+  const Graph graph = GetParam().make();
+  const auto reference = bruteForceClustering(graph);
+  expectBitIdentical(oracle::mergeIntersectionClustering(graph), reference,
+                     "merge-intersection oracle");
+  for (unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
+    expectBitIdentical(localClusteringCoefficients(graph, workers), reference,
+                       std::to_string(workers) + " workers");
+  }
+}
+
+TEST_P(ClusteringKernel, TriangleCountAndTransitivityMatchBruteForce) {
+  const Graph graph = GetParam().make();
+  const std::uint64_t triangles = bruteForceTriangles(graph);
+  std::uint64_t triples = 0;
+  for (Vertex v = 0; v < graph.vertexCount(); ++v) {
+    const std::uint64_t degree = graph.degree(v);
+    triples += degree < 2 ? 0 : degree * (degree - 1) / 2;
+  }
+  const double transitivity =
+      triples == 0 ? 0.0
+                   : 3.0 * static_cast<double>(triangles) /
+                         static_cast<double>(triples);
+  for (unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
+    EXPECT_EQ(triangleCount(graph, workers), triangles) << workers;
+    EXPECT_EQ(globalTransitivity(graph, workers), transitivity) << workers;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ClusteringKernel,
+    ::testing::Values(KernelShape{"BarabasiAlbertHubs", barabasiAlbertHubs},
+                      KernelShape{"StarGluedToClique", starGluedToClique},
+                      KernelShape{"IsolatedVertices", withIsolatedVertices},
+                      KernelShape{"Empty", emptyGraph},
+                      KernelShape{"Edgeless", edgelessGraph},
+                      KernelShape{"Complete", completeGraph},
+                      KernelShape{"TriangleWithTail", triangleWithTail}),
+    [](const ::testing::TestParamInfo<KernelShape>& info) {
+      return info.param.name;
+    });
 
 TEST(Algorithms, VerticesWithinRadius) {
   // Path 0-1-2-3-4.

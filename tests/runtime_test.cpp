@@ -479,6 +479,27 @@ TEST(ParallelFor, PropagatesException) {
                std::logic_error);
 }
 
+TEST(ParallelFor, SlotsAreInRangeAndNeverShared) {
+  constexpr unsigned kWorkers = 4;
+  std::vector<std::atomic<bool>> busy(kWorkers);
+  std::vector<std::uint64_t> perSlot(kWorkers, 0);  // unsynchronized on purpose
+  std::atomic<int> violations{0};
+  parallelForSlots(5000, kWorkers, [&](std::uint64_t i, unsigned slot) {
+    if (slot >= kWorkers || busy[slot].exchange(true)) {
+      violations.fetch_add(1);
+      return;
+    }
+    perSlot[slot] += i;
+    busy[slot].store(false);
+  });
+  EXPECT_EQ(violations.load(), 0);
+  std::uint64_t total = 0;
+  for (std::uint64_t sum : perSlot) {
+    total += sum;
+  }
+  EXPECT_EQ(total, 4999u * 5000u / 2);
+}
+
 // ---- tree reduce ----------------------------------------------------------
 
 TEST(TreeReduce, FoldsEverythingIntoFront) {

@@ -251,6 +251,56 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(crc32(data), original);
 }
 
+/// The bytewise table loop the slice-by-8 CRC must reproduce bit for bit.
+std::uint32_t bytewiseCrc32(std::span<const std::byte> bytes,
+                            std::uint32_t seed = 0) {
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (std::byte b : bytes) {
+    crc ^= static_cast<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::byte> randomBytes(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> bytes(count);
+  for (std::byte& b : bytes) {
+    b = static_cast<std::byte>(rng.uniformBelow(256));
+  }
+  return bytes;
+}
+
+TEST(Crc32, MatchesBytewiseAtEveryLengthAndAlignment) {
+  const std::vector<std::byte> data = randomBytes(64 + 8, 5);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::span<const std::byte> bytes(data.data() + offset, length);
+      ASSERT_EQ(crc32(bytes), bytewiseCrc32(bytes))
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(crc32(bytes, 0xDEADBEEFu), bytewiseCrc32(bytes, 0xDEADBEEFu))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32, SeededChainingAcrossSplitsEqualsWhole) {
+  const std::vector<std::byte> data = randomBytes(1000, 6);
+  const std::span<const std::byte> all(data);
+  const std::uint32_t whole = bytewiseCrc32(all);
+  ASSERT_EQ(crc32(all), whole);
+  for (std::size_t first = 0; first <= 40; ++first) {
+    for (std::size_t second = first; second <= first + 17; ++second) {
+      std::uint32_t chained = crc32(all.subspan(0, first));
+      chained = crc32(all.subspan(first, second - first), chained);
+      chained = crc32(all.subspan(second), chained);
+      ASSERT_EQ(chained, whole) << "splits at " << first << ", " << second;
+    }
+  }
+}
+
 TEST(BinaryIo, U32RoundTrip) {
   std::stringstream stream;
   writeU32(stream, 0xDEADBEEFu);

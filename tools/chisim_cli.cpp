@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chisimnet/chisimnet.hpp"
@@ -440,7 +441,10 @@ int cmdAnalyze(const Args& args) {
             << components.giantSize() << " vertices\n";
 
   if (args.has("clustering")) {
-    const auto coefficients = graph::localClusteringCoefficients(network);
+    const auto workers = static_cast<unsigned>(
+        args.u64("workers", std::thread::hardware_concurrency()));
+    const auto coefficients =
+        graph::localClusteringCoefficients(network, workers);
     std::uint64_t atOne = 0;
     for (double c : coefficients) {
       atOne += c >= 0.999 ? 1 : 0;
@@ -578,7 +582,7 @@ void printUsage() {
       "  worker      --connect HOST:PORT --rank N --rank-count R\n"
       "              [--connect-timeout-ms MS] [--connect-retries N]\n"
       "              (join a --transport tcp synthesis root from another host)\n"
-      "  analyze     --net FILE.cadj [--clustering] [--communities]\n"
+      "  analyze     --net FILE.cadj [--clustering [--workers W]] [--communities]\n"
       "              [--degrees-out FILE.tsv]\n"
       "  ego         --net FILE.cadj --out PREFIX [--person P] [--radius R]\n"
       "  export      --logs DIR --out FILE.tsv [--window-start H]\n"
