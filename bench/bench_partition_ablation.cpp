@@ -70,7 +70,7 @@ int main() {
     runtime::Cluster cluster(workers);
     std::vector<sparse::SymmetricAdjacency> sums;
     for (unsigned w = 0; w < workers; ++w) {
-      sums.emplace_back(1024);
+      sums.emplace_back();
     }
     cluster.applyPartitioned(partition, [&](std::size_t item, unsigned worker) {
       sums[worker].addCollocation(matrices[item]);

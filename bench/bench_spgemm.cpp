@@ -50,7 +50,7 @@ void runMethod(benchmark::State& state, std::size_t persons, unsigned hours,
   const sparse::CollocationMatrix matrix = makePlace(persons, hours, 42);
   std::uint64_t edges = 0;
   for (auto _ : state) {
-    sparse::SymmetricAdjacency adjacency(matrix.nnz());
+    sparse::SymmetricAdjacency adjacency;
     adjacency.addCollocation(matrix, method);
     benchmark::DoNotOptimize(adjacency);
     edges = adjacency.edgeCount();
@@ -130,8 +130,8 @@ BENCHMARK(BM_Local_Shop)->Unit(benchmark::kMillisecond);
 void BM_AdjacencyMerge(benchmark::State& state) {
   const auto entries = static_cast<std::size_t>(state.range(0));
   util::Rng rng(5);
-  sparse::SymmetricAdjacency a(entries);
-  sparse::SymmetricAdjacency b(entries);
+  sparse::SymmetricAdjacency a;
+  sparse::SymmetricAdjacency b;
   for (std::size_t i = 0; i < entries; ++i) {
     a.add(static_cast<std::uint32_t>(rng.uniformBelow(100000)),
           static_cast<std::uint32_t>(100000 + rng.uniformBelow(100000)), 1);
@@ -139,7 +139,7 @@ void BM_AdjacencyMerge(benchmark::State& state) {
           static_cast<std::uint32_t>(100000 + rng.uniformBelow(100000)), 1);
   }
   for (auto _ : state) {
-    sparse::SymmetricAdjacency sum(entries * 2);
+    sparse::SymmetricAdjacency sum;
     sum.merge(a);
     sum.merge(b);
     benchmark::DoNotOptimize(sum);
@@ -186,7 +186,7 @@ double minSeconds(const sparse::CollocationMatrix& matrix,
   double best = 1e300;
   for (int repeat = 0; repeat < repeats; ++repeat) {
     util::WallTimer timer;
-    sparse::SymmetricAdjacency adjacency(matrix.nnz());
+    sparse::SymmetricAdjacency adjacency;
     adjacency.addCollocation(matrix, method);
     best = std::min(best, timer.seconds());
     if (edgesOut != nullptr) {

@@ -32,8 +32,7 @@ int main() {
   json.put("persons", static_cast<std::uint64_t>(population.persons().size()));
   json.put("log_files", static_cast<std::uint64_t>(logs.files.size()));
 
-  std::cout << "worker sweep (single-core host: expect flat wall time; the "
-               "decomposition itself is what scales on a cluster):\n";
+  std::cout << "worker sweep (wall seconds; runs this short are noisy):\n";
   std::cout << "  workers  total(s)  load(s)  colloc(s)  adjacency(s)  "
                "reduce(s)  busy-imbalance\n";
   std::uint64_t referenceEdges = 0;
@@ -78,92 +77,71 @@ int main() {
     }
   }
 
-  // Stage-6 reduce shape on the real pipeline: the serial root merge folds
-  // n worker sums one at a time, the tree folds them pairwise in
-  // ceil(log2 n) levels. Per-batch worker sums are place-partitioned and
-  // hence nearly disjoint, and a hash merge costs what it inserts — so in
-  // THIS regime the tree cannot beat serial on the modeled critical path
-  // (its final merge alone moves half the data); the table documents that
-  // honestly. The regime the tree is for is measured right below.
-  std::cout << "\nreduce shape on the pipeline (nearly disjoint sums; "
-               "modeled parallel critical path):\n"
-            << "  workers  serial(s)  tree-critical(s)  depth  merges\n";
-  for (unsigned workers : {2u, 4u, 8u, 16u}) {
+  // Stage-6 shard fold on the real pipeline: worker sums are folded row-
+  // range shard by row-range shard on the worker threads, so the fold's
+  // wall time should fall with the worker count while the work (one hash
+  // insert per worker-sum entry) stays the same.
+  std::cout << "\nstage-6 shard fold on the pipeline (wall seconds):\n"
+            << "  workers  fold(s)  shards  sums\n";
+  for (unsigned workers : {1u, 2u, 4u, 8u}) {
     config.workers = workers;
-    config.treeReduce = false;
-    net::NetworkSynthesizer serialRun(config);
-    serialRun.synthesizeAdjacency(logs.files);
-    const double serialSeconds = serialRun.report().reduceCriticalSeconds;
-    config.treeReduce = true;
-    net::NetworkSynthesizer treeRun(config);
-    treeRun.synthesizeAdjacency(logs.files);
-    const auto& treeReport = treeRun.report();
-    const double treeSeconds = treeReport.reduceCriticalSeconds;
-    std::cout << "  " << workers << "        " << fmt(serialSeconds, 4)
-              << "     " << fmt(treeSeconds, 4) << "            "
-              << treeReport.reduceTreeDepth << "      "
-              << treeReport.reduceMergedSums - 1 << "\n";
-    json.put("reduce_serial_seconds_w" + std::to_string(workers),
-             serialSeconds);
-    json.put("reduce_tree_critical_seconds_w" + std::to_string(workers),
-             treeSeconds);
-    json.put("reduce_tree_depth_w" + std::to_string(workers),
-             static_cast<std::uint64_t>(treeReport.reduceTreeDepth));
+    net::NetworkSynthesizer run(config);
+    run.synthesizeAdjacency(logs.files);
+    const auto& report = run.report();
+    std::cout << "  " << workers << "        " << fmt(report.reduceCriticalSeconds, 4)
+              << "   " << report.reduceShardCount << "      "
+              << report.reduceMergedSums << "\n";
+    json.put("reduce_fold_seconds_w" + std::to_string(workers),
+             report.reduceCriticalSeconds);
   }
-  config.treeReduce = true;
 
-  // The regime the tree reduce is built for: worker sums that share their
-  // pair set. At scale the heavy pairs (households, classrooms seen in
-  // every batch and on every rank) appear in every worker's sum, so the
-  // serial root pays n x D hash inserts while the tree's critical path is
-  // only ceil(log2 n) x D — sub-linear in the worker count.
-  std::cout << "\nreduce microbench (n sums over the SAME 200k hot pairs; "
-               "serial root cost n*D, tree critical ceil(log2 n)*D):\n"
-            << "  sums  serial(s)  tree-critical(s)  depth  speedup\n";
-  double microSpeedupAtMax = 0.0;
+  // Fold microbench: n sums over the SAME 200k hot pairs (the heavy
+  // household/classroom pairs that recur in every worker's sum at scale),
+  // spread over ~50 shards. Every shard folds independently, so 4 workers
+  // should cut the wall time well below the 1-worker fold.
+  std::cout << "\nshard fold microbench (n sums over the same 200k hot pairs; "
+               "min-of-3 wall seconds, spread = max-min):\n"
+            << "  sums  1 worker (spread)    4 workers (spread)   speedup\n";
+  double foldSpeedupAtMax = 0.0;
   {
     util::Rng rng(7);
-    sparse::SymmetricAdjacency hot(200'000);
+    sparse::SymmetricAdjacency hot;
     for (std::size_t i = 0; i < 200'000; ++i) {
       hot.add(static_cast<std::uint32_t>(rng.uniformBelow(100'000)),
               static_cast<std::uint32_t>(100'000 + rng.uniformBelow(100'000)),
               1);
     }
-    for (const unsigned sums : {2u, 4u, 8u, 16u, 32u}) {
-      util::WallTimer serialTimer;
-      sparse::SymmetricAdjacency serialResult(0);
-      for (unsigned i = 0; i < sums; ++i) {
-        serialResult.merge(hot);
+    const auto timeFold = [&hot](unsigned sums, unsigned workers) {
+      std::vector<double> seconds;
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        std::vector<sparse::SymmetricAdjacency> items(sums, hot);
+        sparse::SymmetricAdjacency result;
+        util::WallTimer timer;
+        result.absorb(items, workers);
+        seconds.push_back(timer.seconds());
       }
-      const double serialSeconds = serialTimer.seconds();
-
-      std::vector<sparse::SymmetricAdjacency> items(sums, hot);
-      const runtime::TreeReduceStats stats = runtime::treeReduce(
-          items, sums,
-          [](sparse::SymmetricAdjacency& into,
-             sparse::SymmetricAdjacency& from) {
-            into.merge(from);
-            from = sparse::SymmetricAdjacency(0);
-          });
-      std::cout << "  " << sums << "     " << fmt(serialSeconds, 4) << "     "
-                << fmt(stats.criticalSeconds, 4) << "            "
-                << stats.depth << "      "
-                << fmt(serialSeconds / std::max(stats.criticalSeconds, 1e-12),
-                       2)
-                << "x\n";
-      json.put("reduce_hot_serial_seconds_n" + std::to_string(sums),
-               serialSeconds);
-      json.put("reduce_hot_tree_critical_seconds_n" + std::to_string(sums),
-               stats.criticalSeconds);
-      microSpeedupAtMax =
-          serialSeconds / std::max(stats.criticalSeconds, 1e-12);
+      const auto [low, high] = std::minmax_element(seconds.begin(), seconds.end());
+      return std::pair{*low, *high - *low};
+    };
+    for (const unsigned sums : {4u, 16u, 32u}) {
+      const auto [serial, serialSpread] = timeFold(sums, 1);
+      const auto [parallel, parallelSpread] = timeFold(sums, 4);
+      const double speedup = serial / std::max(parallel, 1e-12);
+      std::cout << "  " << sums << "    " << fmt(serial, 4) << " ("
+                << fmt(serialSpread, 4) << ")      " << fmt(parallel, 4)
+                << " (" << fmt(parallelSpread, 4) << ")      "
+                << fmt(speedup, 2) << "x\n";
+      json.put("fold_hot_w1_seconds_n" + std::to_string(sums), serial);
+      json.put("fold_hot_w4_seconds_n" + std::to_string(sums), parallel);
+      json.put("fold_hot_w1_spread_n" + std::to_string(sums), serialSpread);
+      json.put("fold_hot_w4_spread_n" + std::to_string(sums), parallelSpread);
+      foldSpeedupAtMax = speedup;
     }
   }
-  const bool treeSubLinear = microSpeedupAtMax > 2.0;
-  printRow("tree reduce on shared hot pairs @32 sums",
-           "critical path sub-linear (log-depth)",
-           fmt(microSpeedupAtMax, 2) + "x vs serial",
-           treeSubLinear ? "PASS" : "FAIL");
+  const bool foldScales = foldSpeedupAtMax >= 2.0;
+  printRow("shard fold on shared hot pairs @32 sums",
+           ">= 2x wall, 4 workers vs 1 (min-of-3)",
+           fmt(foldSpeedupAtMax, 2) + "x", foldScales ? "PASS" : "FAIL");
 
   // Backend axis: the same stage driver through both dispatch substrates —
   // SNOW-style shared-memory workers vs Rmpi-style message-passing ranks
@@ -306,11 +284,11 @@ int main() {
   json.put("entries_per_sec", entriesPerSecond);
   json.put("backends_agree", backendsAgree);
   json.put("batch_additive", additive);
-  json.put("reduce_hot_speedup_n32", microSpeedupAtMax);
+  json.put("fold_hot_speedup_w4_n32", foldSpeedupAtMax);
   std::cout << "wrote " << json.write().string() << "\n";
 
   return additive && sameEdges && backendsAgree && exposedFraction < 0.25 &&
-                 hookOverhead < 0.02 && treeSubLinear
+                 hookOverhead < 0.02 && foldScales
              ? 0
              : 1;
 }

@@ -18,37 +18,6 @@ runtime::Partition SynthesisExecutor::repartition(
              : runtime::partitionContiguous(weights, config_.workers);
 }
 
-void SynthesisExecutor::reduceSums(
-    std::vector<sparse::SymmetricAdjacency>& workerSums,
-    sparse::SymmetricAdjacency& result) {
-  lastReduce_ = ReduceStats{};
-  lastReduce_.tree = config_.treeReduce;
-  lastReduce_.mergedSums = workerSums.size();
-  if (config_.treeReduce && workerSums.size() > 1) {
-    const runtime::TreeReduceStats stats = runtime::treeReduce(
-        workerSums, config_.workers,
-        [](sparse::SymmetricAdjacency& into, sparse::SymmetricAdjacency& from) {
-          into.merge(from);
-          from = sparse::SymmetricAdjacency(0);  // release the merged table
-        });
-    lastReduce_.depth = stats.depth;
-    lastReduce_.criticalSeconds = stats.criticalSeconds;
-    // The fold into the cross-batch accumulator stays on the critical path
-    // whichever shape ran, so it counts toward the modeled time too. Both
-    // shapes use the thread-CPU clock, matching treeReduce's merge timing.
-    util::ThreadCpuTimer timer;
-    result.merge(workerSums.front());
-    lastReduce_.criticalSeconds += timer.seconds();
-  } else {
-    util::ThreadCpuTimer timer;
-    for (const sparse::SymmetricAdjacency& workerSum : workerSums) {
-      result.merge(workerSum);
-    }
-    lastReduce_.criticalSeconds = timer.seconds();
-  }
-  workerSums.clear();
-}
-
 SharedMemoryExecutor::SharedMemoryExecutor(const SynthesisConfig& config)
     : SynthesisExecutor(config), cluster_(config.workers) {}
 
@@ -112,11 +81,7 @@ void SharedMemoryExecutor::mapAdjacency(
         });
     return;
   }
-  workerSums_.clear();
-  workerSums_.reserve(config_.workers);
-  for (unsigned w = 0; w < config_.workers; ++w) {
-    workerSums_.emplace_back(1024);
-  }
+  workerSums_.assign(config_.workers, sparse::SymmetricAdjacency());
   cluster_.applyPartitioned(partition, [&](std::size_t item, unsigned worker) {
     workerSums_[worker].addCollocation(matrices[item], config_.method);
   });
@@ -125,14 +90,19 @@ void SharedMemoryExecutor::mapAdjacency(
 void SharedMemoryExecutor::reduce(sparse::SymmetricAdjacency& result) {
   CHISIM_REQUIRE(spillSums_.empty(),
                  "budgeted stage 5 must reduce into a spilling accumulator");
-  reduceSums(workerSums_, result);
+  lastReduce_ = ReduceStats{};
+  lastReduce_.mergedSums = workerSums_.size();
+  util::WallTimer timer;
+  result.absorb(workerSums_, config_.workers);
+  lastReduce_.criticalSeconds = timer.seconds();
+  lastReduce_.shards = result.shardCount();
+  workerSums_.clear();
 }
 
 void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   CHISIM_REQUIRE(!spillSums_.empty(),
                  "reduceInto without a budgeted mapAdjacency");
   lastReduce_ = ReduceStats{};
-  lastReduce_.tree = false;  // the sink replaces the pairwise tree
   lastReduce_.mergedSums = spillSums_.size();
   // The worker maps lived beside the sink's resident shards; their summed
   // historical peaks are reported as the (pessimistic) stage-5 transient.

@@ -47,13 +47,16 @@ class TcpTransport;
 
 namespace chisimnet::net {
 
-/// Shape and modeled timing of one stage-6 reduce.
+/// Shape and timing of one stage-6 reduce.
 struct ReduceStats {
-  bool tree = false;             ///< folded via the log-depth merge tree
-  unsigned depth = 0;            ///< merge-tree levels (0 = serial)
   std::uint64_t mergedSums = 0;  ///< worker sums folded into the result
-  /// Modeled parallel time: Σ over levels of that level's slowest merge
-  /// (equals total merge time when serial).
+  /// Row-range shards of the in-memory result after the reduce.
+  std::uint64_t shards = 0;
+  /// Rank-pair merge-tree levels (message passing; 0 on shared memory).
+  unsigned depth = 0;
+  /// Shared memory: wall seconds of the shard fold. Message passing:
+  /// Σ over tree levels of that level's slowest rank merge, plus the
+  /// root's insert of the surviving run.
   double criticalSeconds = 0.0;
 };
 
@@ -92,9 +95,9 @@ class SynthesisExecutor {
       const std::vector<sparse::CollocationMatrix>& matrices,
       const runtime::Partition& partition) = 0;
 
-  /// Stage 6: fold the worker sums held since mapAdjacency into `result`,
-  /// via a log-depth pairwise merge tree (config.treeReduce, the default)
-  /// or the serial one-at-a-time root merge (the ablation baseline).
+  /// Stage 6: fold the worker sums held since mapAdjacency into `result`
+  /// (a parallel per-shard fold on shared memory, the rank-pair merge tree
+  /// on message passing).
   virtual void reduce(sparse::SymmetricAdjacency& result) = 0;
 
   /// Stage 6 under a memory budget: fold the worker sums into the
@@ -116,7 +119,7 @@ class SynthesisExecutor {
       const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
       const std::function<void(const sparse::ShardSegment&)>& onSegment) = 0;
 
-  /// Shape and modeled timing of the last reduce().
+  /// Shape and timing of the last reduce().
   const ReduceStats& lastReduceStats() const noexcept { return lastReduce_; }
 
   /// Observed busy-time imbalance of the last mapAdjacency; 1.0 if the
@@ -140,12 +143,6 @@ class SynthesisExecutor {
   }
 
  protected:
-  /// Serial/tree fold over root-held worker sums — the shared path for
-  /// backends whose sums are already in memory at the root. Consumes the
-  /// sums and records lastReduce_.
-  void reduceSums(std::vector<sparse::SymmetricAdjacency>& workerSums,
-                  sparse::SymmetricAdjacency& result);
-
   const SynthesisConfig config_;
   ReduceStats lastReduce_;
 };
@@ -165,6 +162,8 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
   std::vector<sparse::CollocationMatrix> mapCollocation() override;
   void mapAdjacency(const std::vector<sparse::CollocationMatrix>& matrices,
                     const runtime::Partition& partition) override;
+  /// Folds the worker sums shard by shard on the worker threads
+  /// (SymmetricAdjacency::absorb), freeing each worker shard once folded.
   void reduce(sparse::SymmetricAdjacency& result) override;
   void reduceInto(sparse::SpillingAccumulator& sink) override;
   /// Owners are worker threads: shard groups are assigned round-robin to
@@ -245,9 +244,9 @@ class MessagePassingExecutor final : public SynthesisExecutor {
                     const runtime::Partition& partition) override;
   /// Rank-pair merge tree over the sorted triplet runs the adjacency stage
   /// returned: each level pairs up runs, ships the pairs to the live ranks
-  /// (rank 0 inline), and two-pointer-merges them — no hash rebuild.
-  /// config.treeReduce=false instead inserts the runs one rank at a time
-  /// (the pre-tree baseline). Lost-rank reassignment applies per level.
+  /// (rank 0 inline), and two-pointer-merges them — no hash rebuild. The
+  /// surviving run is inserted into `result`. Lost-rank reassignment
+  /// applies per level.
   /// Runs too large to cross the wire inline arrive and travel as spill
   /// files (mp::RunRef) and are streamed, never rebuilt whole in memory.
   void reduce(sparse::SymmetricAdjacency& result) override;

@@ -695,56 +695,36 @@ void MessagePassingExecutor::mergeRunsLevel() {
 
 void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
   lastReduce_ = ReduceStats{};
-  lastReduce_.tree = config_.treeReduce;
   lastReduce_.mergedSums = reduceRuns_.size();
-  // Inserts one run — inline or streamed off its spill file — into the
-  // running result, consuming (deleting) file-backed runs. The reserve is
-  // the summed-row-count pre-size (satellite of the sharded merge: sized
-  // from run metadata, counted in the kernel stats).
-  const auto insertRun = [this, &result](const mp::RunRef& run) {
-    if (run.isFile()) {
-      result.reserve(result.edgeCount() + run.triplets);
-      runKernelStats_.mergeReservedEntries += run.triplets;
-      sparse::SpillRunReader reader(run.file);
-      sparse::AdjacencyTriplet triplet;
-      while (reader.next(triplet)) {
-        result.add(triplet.i, triplet.j, triplet.weight);
-      }
-      std::error_code ignored;
-      std::filesystem::remove(run.file, ignored);
-    } else {
-      result.reserve(result.edgeCount() + run.inlineRun.size());
-      runKernelStats_.mergeReservedEntries += run.inlineRun.size();
-      for (const sparse::AdjacencyTriplet& triplet : run.inlineRun) {
-        result.add(triplet.i, triplet.j, triplet.weight);
-      }
-    }
-  };
   try {
-    if (config_.treeReduce) {
-      while (reduceRuns_.size() > 1) {
-        mergeRunsLevel();
-      }
-      // Only the single surviving run crosses into the running result. The
-      // root-side insert is on the critical path either way, so it counts.
-      util::WallTimer timer;
-      for (const mp::RunRef& run : reduceRuns_) {
-        insertRun(run);
-      }
-      lastReduce_.criticalSeconds += timer.seconds();
-    } else {
-      // Serial baseline: insert each rank's run into the root map one at a
-      // time (the pre-tree behavior, kept for the ablation bench).
-      util::WallTimer timer;
-      for (const mp::RunRef& run : reduceRuns_) {
-        insertRun(run);
-      }
-      lastReduce_.criticalSeconds = timer.seconds();
+    while (reduceRuns_.size() > 1) {
+      mergeRunsLevel();
     }
+    // Only the single surviving run — inline or streamed off its spill
+    // file, which is then deleted — crosses into the running result. The
+    // root-side insert is on the critical path, so it counts. addAll sizes
+    // each shard once for its rows, which count as reserved entries in the
+    // kernel stats.
+    util::WallTimer timer;
+    for (const mp::RunRef& run : reduceRuns_) {
+      if (run.isFile()) {
+        runKernelStats_.mergeReservedEntries += run.triplets;
+        sparse::SpillRunReader reader(run.file);
+        result.addAll(reader);
+        std::error_code ignored;
+        std::filesystem::remove(run.file, ignored);
+      } else {
+        runKernelStats_.mergeReservedEntries += run.inlineRun.size();
+        sparse::SpanTripletSource source(run.inlineRun);
+        result.addAll(source);
+      }
+    }
+    lastReduce_.criticalSeconds += timer.seconds();
   } catch (...) {
     team_->rethrowServiceError();
     throw;
   }
+  lastReduce_.shards = result.shardCount();
   reduceRuns_.clear();
   result.addKernelStats(runKernelStats_);
   runKernelStats_ = sparse::AdjacencyKernelStats{};
@@ -753,7 +733,6 @@ void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
 
 void MessagePassingExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   lastReduce_ = ReduceStats{};
-  lastReduce_.tree = false;  // the sink replaces the pairwise tree
   lastReduce_.mergedSums = reduceRuns_.size();
   // The workers' stage-5 maps were alive concurrently with the sink's
   // resident shards — the budget guarantee must account for both.

@@ -218,9 +218,8 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
   report_.adjacencyBusyImbalance = executor_->adjacencyBusyImbalance();
   timer.reset();
 
-  // Stage 6: fold the worker sums into the running result — into the dense
-  // map (log-depth merge tree by default, serial root merge behind
-  // config.treeReduce), or under a memory budget into the spilling
+  // Stage 6: fold the worker sums into the running result — into the
+  // sharded in-memory adjacency, or under a memory budget into the spilling
   // accumulator, which adopts worker run files in place of merging maps.
   runtime::fault::hit("driver.reduce");
   if (dense != nullptr) {
@@ -230,10 +229,10 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
   }
   report_.reduceSeconds += timer.seconds();
   const ReduceStats& reduceStats = executor_->lastReduceStats();
-  report_.treeReduceEnabled = reduceStats.tree;
   report_.reduceTreeDepth =
       std::max(report_.reduceTreeDepth, reduceStats.depth);
   report_.reduceMergedSums += reduceStats.mergedSums;
+  report_.reduceShardCount = reduceStats.shards;
   report_.reduceCriticalSeconds += reduceStats.criticalSeconds;
 
   // Kernel counters ride on the result (merged up the reduce alongside the
@@ -298,10 +297,7 @@ void NetworkSynthesizer::runFilePipeline(
           // Spill checkpoint resumed without a budget: fold the runs into
           // the dense map (duplicate pairs across runs sum on add).
           sparse::SpillRunReader reader(info.file);
-          sparse::AdjacencyTriplet triplet;
-          while (reader.next(triplet)) {
-            dense->add(triplet.i, triplet.j, triplet.weight);
-          }
+          dense->addAll(reader);
         }
       }
       // Merge segments completed by a previous life (killed during the
@@ -547,7 +543,7 @@ void NetworkSynthesizer::runFilePipeline(
 sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
     const std::vector<std::filesystem::path>& logFiles) {
   util::WallTimer total;
-  sparse::SymmetricAdjacency result(1024);
+  sparse::SymmetricAdjacency result;
   if (config_.memoryBudgetBytes == 0) {
     runFilePipeline(logFiles, &result, nullptr);
   } else {
@@ -557,14 +553,10 @@ sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
     sparse::SpillingAccumulator sink(sinkOptions(config_));
     runFilePipeline(logFiles, nullptr, &sink);
     const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
-    // Pre-size the result from the summed run row counts (an upper bound:
-    // duplicate pairs across runs collapse) so the drain never rehashes.
-    result.reserve(result.edgeCount() + merged->sizeHint());
+    // The merge is (i, j)-sorted, so addAll sizes each shard once for its
+    // rows and the drain never rehashes.
     report_.mergeReservedEntries += merged->sizeHint();
-    sparse::AdjacencyTriplet triplet;
-    while (merged->next(triplet)) {
-      result.add(triplet.i, triplet.j, triplet.weight);
-    }
+    result.addAll(*merged);
     result.addKernelStats(sink.kernelStats());
     foldSpillStats(report_, sink.stats());
   }
@@ -741,19 +733,15 @@ sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
   util::WallTimer total;
   report_.logEntriesLoaded = events.size();
 
-  sparse::SymmetricAdjacency result(1024);
+  sparse::SymmetricAdjacency result;
   if (config_.memoryBudgetBytes == 0) {
     processBatch(events, &result, nullptr);
   } else {
     sparse::SpillingAccumulator sink(sinkOptions(config_));
     processBatch(events, nullptr, &sink);
     const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
-    result.reserve(result.edgeCount() + merged->sizeHint());
     report_.mergeReservedEntries += merged->sizeHint();
-    sparse::AdjacencyTriplet triplet;
-    while (merged->next(triplet)) {
-      result.add(triplet.i, triplet.j, triplet.weight);
-    }
+    result.addAll(*merged);
     result.addKernelStats(sink.kernelStats());
     foldSpillStats(report_, sink.stats());
   }

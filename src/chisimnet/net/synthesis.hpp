@@ -149,12 +149,6 @@ struct SynthesisConfig {
   /// pair; kSpGemm is the paper-faithful per-pair-hour global insert. All
   /// methods produce bit-identical adjacencies.
   sparse::AdjacencyMethod method = sparse::AdjacencyMethod::kLocalAccumulate;
-  /// true: stage 6 folds worker sums through a log-depth pairwise merge
-  /// tree (thread-pool merges on shared memory, rank-pair sorted-run
-  /// merges on message passing); false: the serial one-at-a-time root
-  /// merge (the ablation baseline). Output is identical either way, so
-  /// this is a perf knob and not part of the checkpoint config hash.
-  bool treeReduce = true;
   /// true: nnz-based LPT re-partitioning (the paper's scheme);
   /// false: contiguous equal-count lists (the naive ablation baseline).
   bool balancedPartition = true;
@@ -359,13 +353,15 @@ struct SynthesisReport {
 
   // ---- stage-6 reduce shape ----
 
-  bool treeReduceEnabled = false;
-  unsigned reduceTreeDepth = 0;  ///< deepest merge tree of any batch
   std::uint64_t reduceMergedSums = 0;   ///< worker sums folded, all batches
-  /// Modeled parallel reduce time: per tree level, only the slowest merge
-  /// is on the critical path; this sums those maxima (equals the serial
-  /// merge time when treeReduce is off). On a multi-core host this is what
-  /// stage 6 would cost; single-core wall time cannot show the win.
+  /// Row-range shards of the in-memory result after the last reduce.
+  std::uint64_t reduceShardCount = 0;
+  /// Deepest message-passing rank-pair merge tree of any batch (0 on
+  /// shared memory, which folds shard by shard instead).
+  unsigned reduceTreeDepth = 0;
+  /// Σ over batches of ReduceStats::criticalSeconds: the shard fold's wall
+  /// time on shared memory; on message passing the per-level slowest rank
+  /// merge plus the root insert.
   double reduceCriticalSeconds = 0.0;
 
   // ---- fault section: every recovery action of the run ----

@@ -2,11 +2,47 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
+#include <numeric>
 #include <utility>
 
+#include "chisimnet/runtime/thread_pool.hpp"
 #include "chisimnet/util/error.hpp"
 
 namespace chisimnet::sparse {
+
+std::size_t SymmetricAdjacency::shardIndex(std::uint32_t id) const noexcept {
+  // Shards are id-ascending and unique, so shards_[k].id >= k: when every
+  // shard below `id` is populated (the usual dense id range) the shard sits
+  // at index `id` and the search is skipped.
+  if (id < shards_.size() && shards_[id].id == id) {
+    return id;
+  }
+  return static_cast<std::size_t>(
+      std::lower_bound(shards_.begin(), shards_.end(), id,
+                       [](const Shard& shard, std::uint32_t value) {
+                         return shard.id < value;
+                       }) -
+      shards_.begin());
+}
+
+PairCountMap& SymmetricAdjacency::shardFor(std::uint32_t low) {
+  const std::uint32_t id = low >> kShardRowBits;
+  const std::size_t k = shardIndex(id);
+  if (k == shards_.size() || shards_[k].id != id) {
+    shards_.insert(shards_.begin() + static_cast<std::ptrdiff_t>(k),
+                   Shard{id, PairCountMap(0)});
+  }
+  return shards_[k].pairs;
+}
+
+const PairCountMap* SymmetricAdjacency::findShard(
+    std::uint32_t low) const noexcept {
+  const std::uint32_t id = low >> kShardRowBits;
+  const std::size_t k = shardIndex(id);
+  return k < shards_.size() && shards_[k].id == id ? &shards_[k].pairs
+                                                    : nullptr;
+}
 
 void SymmetricAdjacency::add(std::uint32_t i, std::uint32_t j,
                              std::uint64_t weight) {
@@ -14,7 +50,107 @@ void SymmetricAdjacency::add(std::uint32_t i, std::uint32_t j,
   if (weight == 0) {
     return;
   }
-  pairs_.add(packPair(i, j), weight);
+  const std::uint64_t key = packPair(i, j);
+  shardFor(pairLow(key)).add(key, weight);
+}
+
+void SymmetricAdjacency::addAll(TripletSource& source) {
+  // Rows are buffered while they stay in one shard, then the shard is
+  // sized for all of them at once.
+  std::vector<AdjacencyTriplet> pending;
+  const auto flush = [this, &pending]() {
+    if (pending.empty()) {
+      return;
+    }
+    PairCountMap& pairs = shardFor(pending.front().i);
+    pairs.reserve(pairs.size() + pending.size());
+    for (const AdjacencyTriplet& triplet : pending) {
+      pairs.add(packPair(triplet.i, triplet.j), triplet.weight);
+    }
+    pending.clear();
+  };
+  AdjacencyTriplet triplet;
+  while (source.next(triplet)) {
+    CHISIM_REQUIRE(triplet.i < triplet.j,
+                   "triplets must be upper-triangular (i < j)");
+    if (triplet.weight == 0) {
+      continue;
+    }
+    if (!pending.empty() &&
+        (pending.front().i >> kShardRowBits) != (triplet.i >> kShardRowBits)) {
+      flush();
+    }
+    pending.push_back(triplet);
+  }
+  flush();
+}
+
+void SymmetricAdjacency::merge(const SymmetricAdjacency& other) {
+  for (const Shard& shard : other.shards_) {
+    shardFor(shard.id << kShardRowBits).merge(shard.pairs);
+  }
+  kernelStats_.merge(other.kernelStats_);
+}
+
+void SymmetricAdjacency::absorb(std::span<SymmetricAdjacency> sums,
+                                unsigned workers) {
+  // Every table holding rows of each shard id: this adjacency's own and
+  // each sum's.
+  std::map<std::uint32_t, std::vector<PairCountMap*>> tablesById;
+  const auto collect = [&tablesById](SymmetricAdjacency& from) {
+    for (Shard& shard : from.shards_) {
+      tablesById[shard.id].push_back(&shard.pairs);
+    }
+  };
+  collect(*this);
+  for (SymmetricAdjacency& sum : sums) {
+    collect(sum);
+  }
+  std::vector<Shard> folded;
+  std::vector<std::vector<PairCountMap*>> parts;
+  std::vector<std::uint64_t> rows;
+  for (auto& [id, tables] : tablesById) {
+    folded.push_back(Shard{id, PairCountMap(0)});
+    rows.push_back(0);
+    for (const PairCountMap* table : tables) {
+      rows.back() += table->size();
+    }
+    parts.push_back(std::move(tables));
+  }
+
+  // Largest shards first, so the longest folds start earliest.
+  std::vector<std::size_t> order(folded.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&rows](std::size_t a, std::size_t b) {
+                     return rows[a] > rows[b];
+                   });
+  runtime::parallelFor(order.size(), std::max(1u, workers),
+                       [&](std::uint64_t n) {
+    const std::size_t k = order[n];
+    std::vector<PairCountMap*>& tables = parts[k];
+    // The largest table becomes the result by move; the others are added
+    // into it, the result sized once for the (upper bound) union, and each
+    // is freed as soon as it is added.
+    std::iter_swap(tables.begin(),
+                   std::max_element(tables.begin(), tables.end(),
+                                    [](const PairCountMap* a,
+                                       const PairCountMap* b) {
+                                      return a->size() < b->size();
+                                    }));
+    PairCountMap& result = folded[k].pairs;
+    result = std::move(*tables.front());
+    result.reserve(static_cast<std::size_t>(rows[k]));
+    for (std::size_t t = 1; t < tables.size(); ++t) {
+      result.merge(*tables[t]);
+      const PairCountMap released = std::move(*tables[t]);
+    }
+  });
+  shards_ = std::move(folded);
+  for (SymmetricAdjacency& sum : sums) {
+    kernelStats_.merge(sum.kernelStats_);
+    sum = SymmetricAdjacency();
+  }
 }
 
 std::uint64_t SymmetricAdjacency::weight(std::uint32_t i,
@@ -22,7 +158,25 @@ std::uint64_t SymmetricAdjacency::weight(std::uint32_t i,
   if (i == j) {
     return 0;
   }
-  return pairs_.get(packPair(i, j));
+  const std::uint64_t key = packPair(i, j);
+  const PairCountMap* pairs = findShard(pairLow(key));
+  return pairs == nullptr ? 0 : pairs->get(key);
+}
+
+std::uint64_t SymmetricAdjacency::edgeCount() const noexcept {
+  std::uint64_t edges = 0;
+  for (const Shard& shard : shards_) {
+    edges += shard.pairs.size();
+  }
+  return edges;
+}
+
+std::size_t SymmetricAdjacency::memoryBytes() const noexcept {
+  std::size_t bytes = shards_.capacity() * sizeof(Shard);
+  for (const Shard& shard : shards_) {
+    bytes += shard.pairs.memoryBytes();
+  }
+  return bytes;
 }
 
 namespace {
@@ -62,8 +216,10 @@ ColumnIndex buildColumnIndex(const CollocationMatrix& matrix) {
   return index;
 }
 
-/// SpGEMM path: one global hash insert per pair-hour.
-void addViaSpGemm(const CollocationMatrix& matrix, PairCountMap& pairs) {
+/// SpGEMM path: one global hash insert per pair-hour. The kernels hand
+/// every pair to `emit(packedKey, weight)`.
+template <class Emit>
+void addViaSpGemm(const CollocationMatrix& matrix, Emit&& emit) {
   const std::size_t personCount = matrix.personCount();
   if (personCount < 2) {
     return;
@@ -76,7 +232,7 @@ void addViaSpGemm(const CollocationMatrix& matrix, PairCountMap& pairs) {
       const table::PersonId personA = matrix.personAt(index.rows[a]);
       for (std::uint64_t b = a + 1; b < end; ++b) {
         const table::PersonId personB = matrix.personAt(index.rows[b]);
-        pairs.add(packPair(personA, personB), 1);
+        emit(packPair(personA, personB), 1);
       }
     }
   }
@@ -103,8 +259,9 @@ bool useDenseLocalPath(std::uint64_t pairSlots,
 /// The inner loop becomes an array increment (dense) or a probe of a
 /// cache-resident local table (hash) instead of a global hash insert per
 /// pair-hour.
-void addViaLocalAccumulate(const CollocationMatrix& matrix,
-                           PairCountMap& pairs, AdjacencyKernelStats& stats) {
+template <class Emit>
+void addViaLocalAccumulate(const CollocationMatrix& matrix, Emit&& emit,
+                           AdjacencyKernelStats& stats) {
   const std::uint64_t p = matrix.personCount();
   if (p < 2) {
     return;
@@ -146,9 +303,9 @@ void addViaLocalAccumulate(const CollocationMatrix& matrix,
       for (std::uint64_t rb = ra + 1; rb < p; ++rb) {
         std::uint32_t& slot = scratch[static_cast<std::size_t>(rowBase + rb)];
         if (slot != 0) {
-          pairs.add(packPair(personA,
-                             matrix.personAt(static_cast<std::size_t>(rb))),
-                    slot);
+          emit(packPair(personA,
+                        matrix.personAt(static_cast<std::size_t>(rb))),
+               slot);
           slot = 0;
           ++stats.globalEmits;
         }
@@ -171,9 +328,9 @@ void addViaLocalAccumulate(const CollocationMatrix& matrix,
       }
     }
     for (const auto& [key, count] : local.entries()) {
-      pairs.add(packPair(matrix.personAt(pairLow(key)),
-                         matrix.personAt(pairHigh(key))),
-                count);
+      emit(packPair(matrix.personAt(pairLow(key)),
+                    matrix.personAt(pairHigh(key))),
+           count);
     }
     stats.globalEmits += local.size();
   }
@@ -199,7 +356,8 @@ std::uint64_t sortedIntersectionSize(std::span<const std::uint32_t> a,
 }
 
 /// Pairwise path: weight(i,j) = |hours_i ∩ hours_j| for each visitor pair.
-void addViaIntersection(const CollocationMatrix& matrix, PairCountMap& pairs) {
+template <class Emit>
+void addViaIntersection(const CollocationMatrix& matrix, Emit&& emit) {
   const std::size_t personCount = matrix.personCount();
   for (std::size_t a = 0; a < personCount; ++a) {
     const auto hoursA = matrix.hoursAt(a);
@@ -207,7 +365,7 @@ void addViaIntersection(const CollocationMatrix& matrix, PairCountMap& pairs) {
       const std::uint64_t shared =
           sortedIntersectionSize(hoursA, matrix.hoursAt(b));
       if (shared > 0) {
-        pairs.add(packPair(matrix.personAt(a), matrix.personAt(b)), shared);
+        emit(packPair(matrix.personAt(a), matrix.personAt(b)), shared);
       }
     }
   }
@@ -217,28 +375,90 @@ void addViaIntersection(const CollocationMatrix& matrix, PairCountMap& pairs) {
 
 void SymmetricAdjacency::addCollocation(const CollocationMatrix& matrix,
                                         AdjacencyMethod method) {
+  // Every pair lands in the shard of its low id.
+  const auto emit = [this](std::uint64_t key, std::uint64_t weight) {
+    shardFor(pairLow(key)).add(key, weight);
+  };
   switch (method) {
     case AdjacencyMethod::kSpGemm:
-      addViaSpGemm(matrix, pairs_);
+      addViaSpGemm(matrix, emit);
       return;
     case AdjacencyMethod::kIntervalIntersection:
-      addViaIntersection(matrix, pairs_);
+      addViaIntersection(matrix, emit);
       return;
     case AdjacencyMethod::kLocalAccumulate:
-      addViaLocalAccumulate(matrix, pairs_, kernelStats_);
+      addViaLocalAccumulate(matrix, emit, kernelStats_);
       return;
   }
   CHISIM_CHECK(false, "unknown adjacency method");
 }
 
-std::vector<AdjacencyTriplet> SymmetricAdjacency::toTriplets() const {
-  std::vector<AdjacencyTriplet> triplets;
-  triplets.reserve(pairs_.size());
-  for (const auto& [key, count] : pairs_.entries()) {
-    triplets.push_back(AdjacencyTriplet{pairLow(key), pairHigh(key), count});
+namespace {
+
+/// Writes one shard's rows to `out` (exactly pairs.size() long) sorted by
+/// (i, j): a counting sort on the shard's 2^kShardRowBits low ids, then a
+/// sort of each row's few entries by j. O(n) plus small in-cache sorts,
+/// where a whole-shard comparison sort would be O(n log n) over DRAM.
+void extractSortedShard(std::uint32_t shardId, const PairCountMap& pairs,
+                        std::span<AdjacencyTriplet> out) {
+  constexpr std::size_t kRows = std::size_t{1}
+                                << SymmetricAdjacency::kShardRowBits;
+  const std::uint32_t base = shardId << SymmetricAdjacency::kShardRowBits;
+  std::vector<std::size_t> cursor(kRows + 1, 0);
+  pairs.forEach([&](std::uint64_t key, std::uint64_t) {
+    ++cursor[pairLow(key) - base + 1];
+  });
+  for (std::size_t row = 1; row <= kRows; ++row) {
+    cursor[row] += cursor[row - 1];
   }
-  std::sort(triplets.begin(), triplets.end());
+  pairs.forEach([&](std::uint64_t key, std::uint64_t count) {
+    out[cursor[pairLow(key) - base]++] =
+        AdjacencyTriplet{pairLow(key), pairHigh(key), count};
+  });
+  // cursor[row] now holds the end of `row`, i.e. the start of row + 1.
+  std::size_t begin = 0;
+  for (std::size_t row = 0; row < kRows; ++row) {
+    const std::size_t end = cursor[row];
+    std::sort(out.begin() + static_cast<std::ptrdiff_t>(begin),
+              out.begin() + static_cast<std::ptrdiff_t>(end),
+              [](const AdjacencyTriplet& a, const AdjacencyTriplet& b) {
+                return a.j < b.j;
+              });
+    begin = end;
+  }
+}
+
+}  // namespace
+
+std::vector<AdjacencyTriplet> SymmetricAdjacency::toTriplets(
+    unsigned workers) const {
+  std::vector<std::size_t> offsets(shards_.size() + 1, 0);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    offsets[s + 1] = offsets[s] + shards_[s].pairs.size();
+  }
+  std::vector<AdjacencyTriplet> triplets(offsets.back());
+  runtime::parallelFor(shards_.size(), std::max(1u, workers),
+                       [&](std::uint64_t s) {
+    extractSortedShard(
+        shards_[s].id, shards_[s].pairs,
+        std::span(triplets).subspan(offsets[s], offsets[s + 1] - offsets[s]));
+  });
   return triplets;
+}
+
+void SymmetricAdjacency::forEachSortedShard(
+    unsigned workers,
+    const std::function<void(std::size_t, std::span<const AdjacencyTriplet>)>&
+        visit) const {
+  workers = std::max(1u, workers);
+  std::vector<std::vector<AdjacencyTriplet>> scratch(workers);
+  runtime::parallelForSlots(
+      shards_.size(), workers, [&](std::uint64_t s, unsigned slot) {
+        std::vector<AdjacencyTriplet>& rows = scratch[slot];
+        rows.resize(shards_[s].pairs.size());
+        extractSortedShard(shards_[s].id, shards_[s].pairs, rows);
+        visit(static_cast<std::size_t>(s), rows);
+      });
 }
 
 std::vector<AdjacencyTriplet> mergeSortedTriplets(
@@ -396,11 +616,7 @@ std::vector<AdjacencyTriplet> mergeKSortedTriplets(
 
 SymmetricAdjacency adjacencyFromCollocations(
     std::span<const CollocationMatrix> matrices, AdjacencyMethod method) {
-  std::uint64_t expected = 0;
-  for (const CollocationMatrix& matrix : matrices) {
-    expected += matrix.nnz();
-  }
-  SymmetricAdjacency adjacency(static_cast<std::size_t>(expected));
+  SymmetricAdjacency adjacency;
   for (const CollocationMatrix& matrix : matrices) {
     adjacency.addCollocation(matrix, method);
   }

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "chisimnet/sparse/collocation.hpp"
@@ -13,8 +15,8 @@
 /// (paper §IV). Off-diagonal entries only: A(i,j) is the number of
 /// person-hours i and j spent collocated. The matrix is stored as its upper
 /// triangle (i < j), exactly as the paper stores the triangular sparse
-/// matrix in R, via a pair-count hash map while accumulating and as sorted
-/// triplets once finalized.
+/// matrix in R, via row-range shards of pair-count hash maps while
+/// accumulating and as sorted triplets once finalized.
 
 namespace chisimnet::sparse {
 
@@ -33,8 +35,8 @@ enum class AdjacencyMethod {
   kLocalAccumulate,
 };
 
-/// Diagnostic counters from the local-coordinate kernel, merged up the
-/// reduce tree alongside the weights (not part of the matrix value).
+/// Diagnostic counters from the local-coordinate kernel, folded through
+/// stage 6 alongside the weights (not part of the matrix value).
 struct AdjacencyKernelStats {
   std::uint64_t densePlaces = 0;     ///< places on the triangular-array path
   std::uint64_t hashPlaces = 0;      ///< places on the local-hash path
@@ -63,35 +65,55 @@ struct AdjacencyTriplet {
       default;
 };
 
+class TripletSource;
+
+/// The upper triangle is held as row-range shards: pair (i, j), i < j,
+/// lives in shard i >> kShardRowBits, one PairCountMap per populated
+/// shard, kept in ascending shard order. Shards own disjoint ascending key
+/// ranges, so every whole-matrix operation splits into independent
+/// per-shard work: stage 6 folds worker sums shard by shard in parallel,
+/// and the sorted export is the ordered concatenation of per-shard sorts.
+/// Storage grows with populated shards only, never with the id range.
 class SymmetricAdjacency {
  public:
-  explicit SymmetricAdjacency(std::size_t expectedEdges = 64)
-      : pairs_(expectedEdges) {}
+  /// Rows per shard: 2^11. Small enough that a 100 k-person network has
+  /// ~50 shards to balance over 4 workers, large enough that the shard
+  /// lookup on the stage-5 insert path stays in L1.
+  static constexpr unsigned kShardRowBits = 11;
 
   /// Adds `weight` collocation hours between distinct persons i and j.
   void add(std::uint32_t i, std::uint32_t j, std::uint64_t weight);
+
+  /// Adds every triplet of `source`. An (i, j)-sorted source delivers each
+  /// shard's rows together, so each shard table is sized once for them
+  /// instead of regrowing; any order is summed correctly.
+  void addAll(TripletSource& source);
 
   /// Accumulates one place's x·xᵀ contribution.
   void addCollocation(
       const CollocationMatrix& matrix,
       AdjacencyMethod method = AdjacencyMethod::kLocalAccumulate);
 
-  /// Sums another adjacency into this one (matrix addition).
-  void merge(const SymmetricAdjacency& other) {
-    pairs_.merge(other.pairs_);
-    kernelStats_.merge(other.kernelStats_);
-  }
+  /// Sums another adjacency into this one (matrix addition), serially.
+  void merge(const SymmetricAdjacency& other);
+
+  /// Stage 6: sums every adjacency in `sums` into this one. Shard s of the
+  /// result absorbs shard s of every sum, the shards folded concurrently
+  /// on up to `workers` threads; each input shard is freed as soon as it
+  /// is folded. Leaves every element of `sums` empty.
+  void absorb(std::span<SymmetricAdjacency> sums,
+              unsigned workers = std::thread::hardware_concurrency());
 
   /// Collocation hours between i and j (0 when never collocated).
   std::uint64_t weight(std::uint32_t i, std::uint32_t j) const noexcept;
 
   /// Number of stored (i<j) edges.
-  std::uint64_t edgeCount() const noexcept { return pairs_.size(); }
+  std::uint64_t edgeCount() const noexcept;
 
-  std::size_t memoryBytes() const noexcept { return pairs_.memoryBytes(); }
+  /// Populated row-range shards.
+  std::size_t shardCount() const noexcept { return shards_.size(); }
 
-  /// Pre-sizes the underlying map for `expectedEdges` entries.
-  void reserve(std::size_t expectedEdges) { pairs_.reserve(expectedEdges); }
+  std::size_t memoryBytes() const noexcept;
 
   const AdjacencyKernelStats& kernelStats() const noexcept {
     return kernelStats_;
@@ -103,17 +125,41 @@ class SymmetricAdjacency {
     kernelStats_.merge(stats);
   }
 
-  /// Upper-triangular triplets sorted by (i, j); deterministic output.
-  std::vector<AdjacencyTriplet> toTriplets() const;
+  /// Upper-triangular triplets sorted by (i, j); deterministic output. The
+  /// shards are extracted and sorted concurrently on up to `workers`
+  /// threads, each straight into its slice of the result.
+  std::vector<AdjacencyTriplet> toTriplets(
+      unsigned workers = std::thread::hardware_concurrency()) const;
+
+  /// Calls visit(s, rows) once per populated shard s in [0, shardCount()),
+  /// with that shard's rows sorted by (i, j). Concatenating the calls in
+  /// ascending s gives toTriplets(). Calls run concurrently on up to
+  /// `workers` threads (never two for the same s); `rows` is valid only
+  /// during the call.
+  void forEachSortedShard(
+      unsigned workers,
+      const std::function<void(std::size_t, std::span<const AdjacencyTriplet>)>&
+          visit) const;
 
  private:
-  PairCountMap pairs_;
+  struct Shard {
+    std::uint32_t id = 0;  ///< low id >> kShardRowBits
+    PairCountMap pairs;
+  };
+
+  /// Index of shard `id` in shards_, or where it would be inserted.
+  std::size_t shardIndex(std::uint32_t id) const noexcept;
+  /// The shard holding rows with low id `low`, created empty if absent.
+  PairCountMap& shardFor(std::uint32_t low);
+  const PairCountMap* findShard(std::uint32_t low) const noexcept;
+
+  std::vector<Shard> shards_;  ///< ascending id, populated shards only
   AdjacencyKernelStats kernelStats_;
 };
 
 /// Merges two (i,j)-sorted triplet runs into one sorted run, summing the
-/// weights of equal pairs. The reduce tree's building block: no hash table
-/// is rebuilt, just a two-pointer walk.
+/// weights of equal pairs: no hash table is rebuilt, just a two-pointer
+/// walk.
 std::vector<AdjacencyTriplet> mergeSortedTriplets(
     std::span<const AdjacencyTriplet> a, std::span<const AdjacencyTriplet> b);
 

@@ -1,7 +1,10 @@
 #include "chisimnet/sparse/adjacency_io.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <fstream>
+#include <mutex>
 #include <system_error>
 
 #include "chisimnet/util/binary_io.hpp"
@@ -15,44 +18,83 @@ constexpr char kMagic[4] = {'C', 'A', 'D', 'J'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kRowBytes = 4 + 4 + 8;
 constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8;  // magic, version, count
-constexpr std::uint64_t kRowsPerChunk = 64 * 1024;  // 1 MiB decode buffer
+constexpr std::uint64_t kRowsPerChunk = 64 * 1024;  // 1 MiB chunk buffer
+
+void store32(std::byte* out, std::uint32_t value) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &value, sizeof value);
+  } else {
+    for (int shift = 0; shift < 32; shift += 8) {
+      *out++ = static_cast<std::byte>(value >> shift);
+    }
+  }
+}
 
 }  // namespace
 
-void saveTriplets(std::span<const AdjacencyTriplet> triplets,
-                  const std::filesystem::path& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CHISIM_CHECK(out.good(), "cannot open adjacency file for writing: " +
-                               path.string());
-  out.write(kMagic, 4);
-  util::writeU32(out, kVersion);
-  util::writeU64(out, triplets.size());
-
-  std::vector<std::byte> payload;
-  payload.reserve(triplets.size() * kRowBytes);
-  const auto put32 = [&payload](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      payload.push_back(static_cast<std::byte>(value >> shift));
-    }
-  };
-  for (const AdjacencyTriplet& triplet : triplets) {
+void encodeTripletRows(std::span<const AdjacencyTriplet> rows, std::byte* out,
+                       std::uint64_t& lastKey) {
+  for (const AdjacencyTriplet& triplet : rows) {
     CHISIM_REQUIRE(triplet.i < triplet.j,
                    "triplets must be upper-triangular (i < j)");
-    put32(triplet.i);
-    put32(triplet.j);
-    put32(static_cast<std::uint32_t>(triplet.weight));
-    put32(static_cast<std::uint32_t>(triplet.weight >> 32));
+    const std::uint64_t key = packPair(triplet.i, triplet.j);
+    CHISIM_REQUIRE(key > lastKey,
+                   "triplets must be strictly (i, j)-ascending (CADJ order)");
+    lastKey = key;
+    store32(out, triplet.i);
+    store32(out + 4, triplet.j);
+    store32(out + 8, static_cast<std::uint32_t>(triplet.weight));
+    store32(out + 12, static_cast<std::uint32_t>(triplet.weight >> 32));
+    out += kRowBytes;
   }
-  util::writeBytes(out, payload);
-  util::writeU32(out, util::crc32(payload));
-  out.flush();
-  CHISIM_CHECK(out.good(), "adjacency write failed: " + path.string());
+}
+
+void saveTriplets(std::span<const AdjacencyTriplet> triplets,
+                  const std::filesystem::path& path) {
+  StreamingTripletWriter writer(path);
+  writer.append(triplets);
+  writer.finish();
 }
 
 void saveAdjacency(const SymmetricAdjacency& adjacency,
-                   const std::filesystem::path& path) {
-  const std::vector<AdjacencyTriplet> triplets = adjacency.toTriplets();
-  saveTriplets(triplets, path);
+                   const std::filesystem::path& path, unsigned workers) {
+  // Each shard is a disjoint ascending key range, so the payload is the
+  // concatenation of the shards' sorted rows. The shards are sorted and
+  // encoded in parallel; whichever thread completes the next segment in
+  // shard order writes it (and any completed successors), chaining the
+  // CRC, while the other threads keep encoding.
+  StreamingTripletWriter writer(path);
+  const std::size_t shards = adjacency.shardCount();
+  std::vector<std::vector<std::byte>> segments(shards);
+  std::vector<std::uint64_t> rows(shards, 0);
+  std::vector<bool> ready(shards, false);
+  std::size_t nextToWrite = 0;
+  bool writing = false;
+  std::mutex mutex;
+  adjacency.forEachSortedShard(
+      workers, [&](std::size_t shard, std::span<const AdjacencyTriplet> sorted) {
+        std::vector<std::byte> bytes(sorted.size() * kRowBytes);
+        std::uint64_t lastKey = 0;
+        encodeTripletRows(sorted, bytes.data(), lastKey);
+        std::unique_lock<std::mutex> lock(mutex);
+        segments[shard] = std::move(bytes);
+        rows[shard] = sorted.size();
+        ready[shard] = true;
+        if (writing) {
+          return;  // the current writer will reach this segment
+        }
+        writing = true;
+        while (nextToWrite < shards && ready[nextToWrite]) {
+          const std::size_t next = nextToWrite;
+          lock.unlock();
+          writer.appendEncoded(segments[next], rows[next]);
+          std::vector<std::byte>().swap(segments[next]);
+          lock.lock();
+          ++nextToWrite;
+        }
+        writing = false;
+      });
+  writer.finish();
 }
 
 CadjError::CadjError(std::filesystem::path file, std::uint64_t byteOffset,
@@ -132,6 +174,41 @@ std::vector<AdjacencyTriplet> loadTriplets(const std::filesystem::path& path) {
   return triplets;
 }
 
+void PayloadBuffer::append(std::span<const AdjacencyTriplet> rows) {
+  if (bytes_.empty()) {
+    bytes_.resize(kRowsPerChunk * kRowBytes);
+  }
+  while (!rows.empty()) {
+    const std::size_t room = (bytes_.size() - used_) / kRowBytes;
+    const std::span<const AdjacencyTriplet> part =
+        rows.first(std::min(room, rows.size()));
+    encodeTripletRows(part, bytes_.data() + used_, lastKey_);
+    used_ += part.size() * kRowBytes;
+    rows = rows.subspan(part.size());
+    if (used_ == bytes_.size()) {
+      flush();
+    }
+  }
+}
+
+void PayloadBuffer::appendEncoded(std::span<const std::byte> bytes) {
+  flush();  // everything buffered so far precedes these bytes
+  crc_ = util::crc32(bytes, crc_);  // chained: equals crc32(whole payload)
+  util::writeBytes(*out_, bytes);
+  written_ += bytes.size();
+}
+
+void PayloadBuffer::flush() {
+  if (used_ == 0) {
+    return;
+  }
+  const std::span<const std::byte> pending(bytes_.data(), used_);
+  crc_ = util::crc32(pending, crc_);
+  util::writeBytes(*out_, pending);
+  written_ += used_;
+  used_ = 0;
+}
+
 TripletSegmentWriter::TripletSegmentWriter(std::filesystem::path path)
     : path_(std::move(path)), tmp_(path_.string() + ".tmp") {
   if (path_.has_parent_path()) {
@@ -140,7 +217,6 @@ TripletSegmentWriter::TripletSegmentWriter(std::filesystem::path path)
   out_.open(tmp_, std::ios::binary | std::ios::trunc);
   CHISIM_CHECK(out_.good(),
                "cannot open segment file for writing: " + tmp_.string());
-  buffer_.reserve(kRowBytes * 4096);
 }
 
 TripletSegmentWriter::~TripletSegmentWriter() {
@@ -152,42 +228,19 @@ TripletSegmentWriter::~TripletSegmentWriter() {
 }
 
 void TripletSegmentWriter::append(const AdjacencyTriplet& triplet) {
-  CHISIM_REQUIRE(triplet.i < triplet.j,
-                 "triplets must be upper-triangular (i < j)");
-  const auto put32 = [this](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      buffer_.push_back(static_cast<std::byte>(value >> shift));
-    }
-  };
-  put32(triplet.i);
-  put32(triplet.j);
-  put32(static_cast<std::uint32_t>(triplet.weight));
-  put32(static_cast<std::uint32_t>(triplet.weight >> 32));
+  payload_.append(std::span(&triplet, 1));
   ++count_;
-  if (buffer_.size() >= kRowBytes * 4096) {
-    flushBuffer();
-  }
-}
-
-void TripletSegmentWriter::flushBuffer() {
-  if (buffer_.empty()) {
-    return;
-  }
-  crc_ = util::crc32(buffer_, crc_);
-  bytes_ += buffer_.size();
-  util::writeBytes(out_, buffer_);
-  buffer_.clear();
 }
 
 TripletSegmentInfo TripletSegmentWriter::finish() {
   CHISIM_REQUIRE(!finished_, "segment already finished");
-  flushBuffer();
+  payload_.flush();
   out_.flush();
   CHISIM_CHECK(out_.good(), "segment write failed: " + tmp_.string());
   out_.close();
   std::filesystem::rename(tmp_, path_);
   finished_ = true;
-  return TripletSegmentInfo{count_, bytes_, crc_};
+  return TripletSegmentInfo{count_, payload_.bytesWritten(), payload_.crc()};
 }
 
 StreamingTripletWriter::StreamingTripletWriter(
@@ -198,40 +251,30 @@ StreamingTripletWriter::StreamingTripletWriter(
   out_.write(kMagic, 4);
   util::writeU32(out_, kVersion);
   util::writeU64(out_, 0);  // edge count, patched by finish()
-  buffer_.reserve(kRowBytes * 4096);
 }
 
 void StreamingTripletWriter::append(const AdjacencyTriplet& triplet) {
-  CHISIM_REQUIRE(triplet.i < triplet.j,
-                 "triplets must be upper-triangular (i < j)");
-  const auto put32 = [this](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      buffer_.push_back(static_cast<std::byte>(value >> shift));
-    }
-  };
-  put32(triplet.i);
-  put32(triplet.j);
-  put32(static_cast<std::uint32_t>(triplet.weight));
-  put32(static_cast<std::uint32_t>(triplet.weight >> 32));
-  ++count_;
-  if (buffer_.size() >= kRowBytes * 4096) {
-    flushBuffer();
-  }
+  append(std::span(&triplet, 1));
 }
 
-void StreamingTripletWriter::flushBuffer() {
-  if (buffer_.empty()) {
-    return;
-  }
-  crc_ = util::crc32(buffer_, crc_);  // chained: equals crc32(whole payload)
-  util::writeBytes(out_, buffer_);
-  buffer_.clear();
+void StreamingTripletWriter::append(std::span<const AdjacencyTriplet> rows) {
+  CHISIM_REQUIRE(!finished_, "adjacency stream already finished");
+  payload_.append(rows);
+  count_ += rows.size();
+}
+
+void StreamingTripletWriter::appendEncoded(std::span<const std::byte> bytes,
+                                           std::uint64_t rows) {
+  CHISIM_REQUIRE(!finished_, "adjacency stream already finished");
+  CHISIM_REQUIRE(bytes.size() == rows * kRowBytes,
+                 "encoded segment size does not match its row count");
+  payload_.appendEncoded(bytes);
+  count_ += rows;
 }
 
 void StreamingTripletWriter::appendSegmentFile(
     const std::filesystem::path& segment, const TripletSegmentInfo& info) {
   CHISIM_REQUIRE(!finished_, "adjacency stream already finished");
-  flushBuffer();  // everything appended so far must precede the segment
   std::ifstream in(segment, std::ios::binary);
   CHISIM_CHECK(in.good(), "cannot open segment file: " + segment.string());
   std::vector<std::byte> chunk(kRowBytes * 4096);
@@ -246,8 +289,7 @@ void StreamingTripletWriter::appendSegmentFile(
                  "segment file truncated: " + segment.string());
     const std::span<const std::byte> bytes(chunk.data(), want);
     segmentCrc = util::crc32(bytes, segmentCrc);
-    crc_ = util::crc32(bytes, crc_);  // chained: composes across segments
-    util::writeBytes(out_, bytes);
+    payload_.appendEncoded(bytes);  // chained CRC composes across segments
     copied += want;
   }
   CHISIM_CHECK(segmentCrc == info.crc,
@@ -257,8 +299,8 @@ void StreamingTripletWriter::appendSegmentFile(
 
 std::uint64_t StreamingTripletWriter::finish() {
   CHISIM_REQUIRE(!finished_, "adjacency stream already finished");
-  flushBuffer();
-  util::writeU32(out_, crc_);
+  payload_.flush();
+  util::writeU32(out_, payload_.crc());
   out_.seekp(8);
   util::writeU64(out_, count_);
   out_.flush();
@@ -269,10 +311,9 @@ std::uint64_t StreamingTripletWriter::finish() {
 
 SymmetricAdjacency loadAdjacency(const std::filesystem::path& path) {
   const std::vector<AdjacencyTriplet> triplets = loadTriplets(path);
-  SymmetricAdjacency adjacency(triplets.size());
-  for (const AdjacencyTriplet& triplet : triplets) {
-    adjacency.add(triplet.i, triplet.j, triplet.weight);
-  }
+  SpanTripletSource source(triplets);
+  SymmetricAdjacency adjacency;
+  adjacency.addAll(source);
   return adjacency;
 }
 

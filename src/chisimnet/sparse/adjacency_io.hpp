@@ -4,7 +4,10 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <ostream>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chisimnet/sparse/adjacency.hpp"
@@ -20,14 +23,26 @@
 
 namespace chisimnet::sparse {
 
-/// Writes the adjacency as sorted triplets. Overwrites `path`.
+/// Writes the adjacency as sorted triplets. Overwrites `path`. The shards
+/// are sorted and encoded concurrently on up to `workers` threads and
+/// written in shard order; the bytes do not depend on `workers`.
 void saveAdjacency(const SymmetricAdjacency& adjacency,
-                   const std::filesystem::path& path);
+                   const std::filesystem::path& path,
+                   unsigned workers = std::thread::hardware_concurrency());
 
-/// Writes pre-sorted triplets directly (avoids re-extracting them when the
-/// caller already has the sorted form).
+/// Writes triplets that are already in CADJ order: upper-triangular and
+/// strictly (i, j)-ascending, which is checked (out-of-order or duplicate
+/// rows throw). Streams the payload in 1 MiB chunks with a chained CRC.
 void saveTriplets(std::span<const AdjacencyTriplet> triplets,
                   const std::filesystem::path& path);
+
+/// The CADJ row encoder every writer shares: writes `rows` at `out` as
+/// 16-byte little-endian (i, j, weight) records. Each row must be
+/// upper-triangular with a packed key strictly above `lastKey`, which is
+/// advanced to the last row's key (every valid key is above 0, so 0 admits
+/// any first row).
+void encodeTripletRows(std::span<const AdjacencyTriplet> rows, std::byte* out,
+                       std::uint64_t& lastKey);
 
 /// CADJ decode failure: the file, the byte offset the failure was detected
 /// at, and the reason, all of it also in what().
@@ -65,6 +80,31 @@ struct TripletSegmentInfo {
   std::uint32_t crc = 0;    ///< crc32 over the segment's bytes
 };
 
+/// Encoded CADJ payload on its way to a stream: rows are encoded into a
+/// 1 MiB buffer (order-checked across every append), and each flushed
+/// chunk is chained into one CRC over all the payload written. Shared by
+/// the segment and CADJ writers, so both emit identical payload bytes.
+class PayloadBuffer {
+ public:
+  explicit PayloadBuffer(std::ostream& out) : out_(&out) {}
+
+  void append(std::span<const AdjacencyTriplet> rows);
+  /// Writes already-encoded rows after everything appended so far.
+  void appendEncoded(std::span<const std::byte> bytes);
+  void flush();
+
+  std::uint32_t crc() const noexcept { return crc_; }
+  std::uint64_t bytesWritten() const noexcept { return written_; }
+
+ private:
+  std::ostream* out_;
+  std::vector<std::byte> bytes_;
+  std::size_t used_ = 0;
+  std::uint64_t lastKey_ = 0;
+  std::uint32_t crc_ = 0;
+  std::uint64_t written_ = 0;
+};
+
 /// Streams sorted triplets into a raw payload-segment file (tmp+rename, so
 /// a segment that exists under its real name is always whole). The byte
 /// encoding is exactly StreamingTripletWriter's payload encoding, which is
@@ -78,22 +118,18 @@ class TripletSegmentWriter {
   TripletSegmentWriter(const TripletSegmentWriter&) = delete;
   TripletSegmentWriter& operator=(const TripletSegmentWriter&) = delete;
 
-  /// Rows must arrive upper-triangular (i < j) and in final sorted order.
+  /// Rows must arrive upper-triangular (i < j) and strictly ascending.
   void append(const AdjacencyTriplet& triplet);
 
   /// Flushes and renames the .tmp into place.
   TripletSegmentInfo finish();
 
  private:
-  void flushBuffer();
-
   std::filesystem::path path_;
   std::filesystem::path tmp_;
   std::ofstream out_;
-  std::vector<std::byte> buffer_;
-  std::uint32_t crc_ = 0;
+  PayloadBuffer payload_{out_};
   std::uint64_t count_ = 0;
-  std::uint64_t bytes_ = 0;
   bool finished_ = false;
 };
 
@@ -106,8 +142,14 @@ class StreamingTripletWriter {
  public:
   explicit StreamingTripletWriter(const std::filesystem::path& path);
 
-  /// Rows must arrive upper-triangular (i < j) and in the final order.
+  /// Rows must arrive upper-triangular (i < j) and strictly ascending
+  /// (checked across appends; spliced segments are not decoded).
   void append(const AdjacencyTriplet& triplet);
+  void append(std::span<const AdjacencyTriplet> rows);
+
+  /// Splices `rows` rows already encoded by encodeTripletRows, in order
+  /// after every earlier append.
+  void appendEncoded(std::span<const std::byte> bytes, std::uint64_t rows);
 
   /// Splices a finished payload segment (TripletSegmentWriter output) into
   /// the stream by raw byte copy: no decode, no re-encode. The chained
@@ -123,12 +165,9 @@ class StreamingTripletWriter {
   std::uint64_t finish();
 
  private:
-  void flushBuffer();
-
   std::filesystem::path path_;
   std::ofstream out_;
-  std::vector<std::byte> buffer_;
-  std::uint32_t crc_ = 0;
+  PayloadBuffer payload_{out_};
   std::uint64_t count_ = 0;
   bool finished_ = false;
 };

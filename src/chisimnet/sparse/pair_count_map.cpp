@@ -1,5 +1,6 @@
 #include "chisimnet/sparse/pair_count_map.hpp"
 
+#include <algorithm>
 #include <bit>
 
 namespace chisimnet::sparse {
@@ -71,6 +72,12 @@ void PairCountMap::reserve(std::size_t expectedEntries) {
   if (needed > slots_.size()) {
     rehash(needed);
   }
+}
+
+std::size_t PairCountMap::maxEntriesWithin(std::size_t bytes) noexcept {
+  const std::size_t slots =
+      std::bit_floor(std::max<std::size_t>(bytes / sizeof(Slot), 16));
+  return slots * 7 / 10;
 }
 
 void PairCountMap::merge(const PairCountMap& other) {

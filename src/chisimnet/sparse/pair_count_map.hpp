@@ -9,8 +9,9 @@
 /// accumulated collocation weight.
 ///
 /// This is the workhorse behind the sparse symmetric adjacency matrix
-/// (paper §IV): each worker accumulates A_l = x·xᵀ contributions into one of
-/// these, then maps are merged pairwise during the reduction to the root.
+/// (paper §IV): SymmetricAdjacency keeps one of these per row-range shard,
+/// each worker accumulates A_l = x·xᵀ contributions into its shards, and
+/// stage 6 folds the workers' tables shard by shard.
 /// Linear probing over a power-of-two table keeps the accumulate path to a
 /// hash, a probe loop and an add — no allocation unless a rehash is due.
 
@@ -58,6 +59,11 @@ class PairCountMap {
   bool growthImminent() const noexcept {
     return (size_ + 1) * 10 > slots_.size() * 7;
   }
+
+  /// The most entries one table holds while its slots stay within
+  /// `bytes` (the load-factor-0.7 growth rule inverted; at least the
+  /// 16-slot minimum table).
+  static std::size_t maxEntriesWithin(std::size_t bytes) noexcept;
 
   /// Approximate heap bytes held by the table.
   std::size_t memoryBytes() const noexcept {

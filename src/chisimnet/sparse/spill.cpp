@@ -653,10 +653,10 @@ SpillingSum::SpillingSum(std::filesystem::path dir, std::string filePrefix,
                          std::uint32_t splitRows)
     : dir_(std::move(dir)),
       filePrefix_(std::move(filePrefix)),
-      splitRows_(splitRows),
-      sum_(1024) {
+      splitRows_(splitRows) {
   if (flushThresholdBytes > 0) {
-    flushThreshold_ = std::max(flushThresholdBytes, kMinSpillThresholdBytes);
+    flushEntries_ = PairCountMap::maxEntriesWithin(
+        std::max(flushThresholdBytes, kMinSpillThresholdBytes));
     CHISIM_REQUIRE(!dir_.empty(),
                    "a flushing stage-5 sum needs a spill directory");
   }
@@ -666,7 +666,7 @@ void SpillingSum::addCollocation(const CollocationMatrix& matrix,
                                  AdjacencyMethod method) {
   sum_.addCollocation(matrix, method);
   peakBytes_ = std::max<std::uint64_t>(peakBytes_, sum_.memoryBytes());
-  if (flushThreshold_ > 0 && sum_.memoryBytes() > flushThreshold_) {
+  if (flushEntries_ > 0 && sum_.edgeCount() > flushEntries_) {
     flush();
   }
 }
@@ -704,11 +704,13 @@ const AdjacencyKernelStats& SpillingSum::kernelStats() const noexcept {
 }
 
 std::vector<AdjacencyTriplet> SpillingSum::drainInMemory() {
-  std::vector<AdjacencyTriplet> triplets = sum_.toTriplets();
+  // One thread: stage-5 sums drain inside the worker (or rank) that owns
+  // them, which already runs one per core.
+  std::vector<AdjacencyTriplet> triplets = sum_.toTriplets(1);
   peakBytes_ = std::max<std::uint64_t>(
       peakBytes_, sum_.memoryBytes() + triplets.size() * kTripletBytes);
   const AdjacencyKernelStats stats = sum_.kernelStats();
-  sum_ = SymmetricAdjacency(1024);
+  sum_ = SymmetricAdjacency();
   sum_.addKernelStats(stats);  // counters survive the drain
   return triplets;
 }

@@ -326,8 +326,9 @@ class SpillingAccumulator {
 };
 
 /// Stage-5 worker-local sum that bounds its own footprint: collocation
-/// contributions accumulate into an in-memory map, and whenever the map
-/// outgrows `flushThresholdBytes` it is sorted and flushed as a spill run.
+/// contributions accumulate into an in-memory adjacency, and whenever it
+/// holds more entries than one pair table of `flushThresholdBytes` fits,
+/// it is sorted and flushed as a spill run.
 /// Both backends' workers use this under a memory budget, so per-batch
 /// stage-5 memory is capped at roughly the threshold per worker.
 class SpillingSum {
@@ -359,7 +360,11 @@ class SpillingSum {
 
   std::filesystem::path dir_;
   std::string filePrefix_;
-  std::uint64_t flushThreshold_ = 0;
+  /// Entries past which the sum flushes: what one pair table of the
+  /// threshold's size holds (0 = never flush). Counted in entries, not in
+  /// the sharded tables' bytes, so the flush points do not depend on how
+  /// the sum happens to be sharded.
+  std::uint64_t flushEntries_ = 0;
   std::uint32_t splitRows_ = 0;
   SymmetricAdjacency sum_;
   std::vector<SpillRunInfo> runs_;
@@ -378,8 +383,7 @@ struct ShardSegment {
   std::uint64_t bytes = 0;
   std::uint32_t crc = 0;
   /// Thread-CPU seconds of this shard's merge. Per-owner sums of these
-  /// model the parallel critical path on one-core hosts, the same way
-  /// runtime::TreeReduceStats does for the stage-6 reduce tree.
+  /// model the parallel critical path on one-core hosts.
   double mergeSeconds = 0.0;
   unsigned owner = 0;  ///< worker index / rank that ran the merge
 };

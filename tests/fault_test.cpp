@@ -654,7 +654,7 @@ TEST(RankLossTest, PermanentRankLossCompletesOnSurvivors) {
 
 TEST(CheckpointTest, ManifestRoundTrips) {
   ScratchDir scratch("chisimnet_fault_manifest");
-  sparse::SymmetricAdjacency adjacency(64);
+  sparse::SymmetricAdjacency adjacency;
   adjacency.add(1, 2, 3);
   adjacency.add(0, 5, 7);
   CheckpointManifest manifest;
@@ -915,7 +915,7 @@ TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
 TEST(SpillFaultTest, KillDuringCompactionLeavesRunsRestorable) {
   ScratchDir scratch("chisimnet_fault_spill_merge");
   util::Rng rng(7);
-  sparse::SymmetricAdjacency expected(64);
+  sparse::SymmetricAdjacency expected;
 
   sparse::SpillingAccumulator::Options options;
   options.dir = scratch.path();

@@ -207,7 +207,7 @@ class AdjacencyIoTest : public ::testing::Test {
 sparse::SymmetricAdjacency randomAdjacency(std::uint64_t seed,
                                            std::size_t edges) {
   util::Rng rng(seed);
-  sparse::SymmetricAdjacency adjacency(edges);
+  sparse::SymmetricAdjacency adjacency;
   for (std::size_t i = 0; i < edges; ++i) {
     const auto u = static_cast<std::uint32_t>(rng.uniformBelow(10000));
     const auto v = static_cast<std::uint32_t>(rng.uniformBelow(10000));
@@ -266,6 +266,33 @@ TEST_F(AdjacencyIoTest, CorruptionDetected) {
     stream.write(&byte, 1);
   }
   EXPECT_THROW(sparse::loadTriplets(path), std::runtime_error);
+}
+
+TEST_F(AdjacencyIoTest, UnsortedOrDuplicateTripletsRejected) {
+  // CADJ rows are strictly (i, j)-ascending: the sort-free graph build and
+  // the shard splice rely on it, so the writer refuses anything else.
+  const auto path = dir_ / "order.cadj";
+  const std::vector<sparse::AdjacencyTriplet> sorted{
+      {1, 2, 1}, {1, 5, 2}, {2, 3, 3}, {7, 1u << 20, 4}};
+  sparse::saveTriplets(sorted, path);
+  EXPECT_EQ(sparse::loadTriplets(path), sorted);
+  const std::vector<std::vector<sparse::AdjacencyTriplet>> rejected{
+      {{1, 5, 2}, {1, 2, 1}},             // j descending within a row
+      {{2, 3, 3}, {1, 5, 2}},             // i descending
+      {{1, 2, 1}, {1, 2, 4}},             // duplicate pair
+      {{1, 2, 1}, {3, 3, 1}},             // diagonal
+      {{1, 2, 1}, {5, 4, 1}},             // lower triangle
+  };
+  for (const auto& triplets : rejected) {
+    EXPECT_THROW(sparse::saveTriplets(triplets, path), std::invalid_argument);
+  }
+  // The streaming writer enforces the same order across appends.
+  sparse::StreamingTripletWriter writer(dir_ / "stream.cadj");
+  writer.append(sparse::AdjacencyTriplet{4, 9, 1});
+  EXPECT_THROW(writer.append(sparse::AdjacencyTriplet{4, 9, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(writer.append(sparse::AdjacencyTriplet{3, 9, 1}),
+               std::invalid_argument);
 }
 
 TEST_F(AdjacencyIoTest, NotAnAdjacencyFileRejected) {

@@ -107,7 +107,7 @@ void expectSameGraph(const Graph& actual, const Graph& expected) {
 std::vector<sparse::AdjacencyTriplet> randomSortedTriplets(
     std::uint64_t seed, std::uint32_t labelRange, std::size_t adds) {
   util::Rng rng(seed);
-  sparse::SymmetricAdjacency adjacency(adds);
+  sparse::SymmetricAdjacency adjacency;
   for (std::size_t k = 0; k < adds; ++k) {
     const auto u = static_cast<std::uint32_t>(rng.uniformBelow(labelRange));
     const auto v = static_cast<std::uint32_t>(rng.uniformBelow(labelRange));

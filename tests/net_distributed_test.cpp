@@ -40,14 +40,15 @@ class DistributedSynthesisTest : public ::testing::Test {
   std::vector<std::filesystem::path> writeRandomLogs(std::uint64_t seed,
                                                      std::size_t events,
                                                      int files,
-                                                     bool byPlace = false) {
+                                                     bool byPlace = false,
+                                                     std::uint32_t persons = 80) {
     util::Rng rng(seed);
     std::vector<std::vector<Event>> buffers(files);
     for (std::size_t i = 0; i < events; ++i) {
       const auto start = static_cast<table::Hour>(rng.uniformBelow(96));
       const Event event{
           start, start + 1 + static_cast<table::Hour>(rng.uniformBelow(8)),
-          static_cast<table::PersonId>(rng.uniformBelow(80)),
+          static_cast<table::PersonId>(rng.uniformBelow(persons)),
           static_cast<table::ActivityId>(rng.uniformBelow(5)),
           static_cast<table::PlaceId>(rng.uniformBelow(20))};
       buffers[byPlace ? event.place % static_cast<std::uint32_t>(files)
@@ -277,20 +278,29 @@ TEST_F(DistributedSynthesisTest, AllAdjacencyMethodsAgree) {
 }
 
 TEST_F(DistributedSynthesisTest, TreeAndSerialReduceAgree) {
-  const auto files = writeRandomLogs(10, 600, 2);
+  // Ids over several row-range shards, so the root insert spans shards.
+  const auto files = writeRandomLogs(
+      10, 600, 2, false,
+      3 * (1u << sparse::SymmetricAdjacency::kShardRowBits) + 5);
   SynthesisConfig config;
   config.windowEnd = 96;
-  config.workers = 5;  // odd rank count: the run tree carries a leftover
   config.backend = SynthesisBackend::kMessagePassing;
-  config.treeReduce = true;
-  NetworkSynthesizer treeRun(config);
-  const auto tree = treeRun.synthesizeAdjacency(files);
-  EXPECT_TRUE(treeRun.report().treeReduceEnabled);
-  EXPECT_GE(treeRun.report().reduceTreeDepth, 1u);
-  config.treeReduce = false;
-  NetworkSynthesizer serialRun(config);
-  EXPECT_EQ(tree.toTriplets(), serialRun.synthesizeAdjacency(files).toTriplets());
-  EXPECT_FALSE(serialRun.report().treeReduceEnabled);
+  const auto reference =
+      bruteForceAdjacency(elog::loadEvents(files, 0, 96), 0, 96);
+  ASSERT_GT(reference.shardCount(), 1u);
+  for (const unsigned workers : {1u, 2u, 5u}) {
+    // 1 rank: its one run is inserted serially; 2 and 5 ranks merge their
+    // runs through the tree (5 is odd, so a level carries a leftover).
+    config.workers = workers;
+    NetworkSynthesizer run(config);
+    EXPECT_EQ(run.synthesizeAdjacency(files).toTriplets(),
+              reference.toTriplets())
+        << "ranks " << workers;
+    EXPECT_EQ(run.report().reduceShardCount, reference.shardCount());
+    if (workers > 1) {
+      EXPECT_GE(run.report().reduceTreeDepth, 1u);
+    }
+  }
 }
 
 TEST_F(DistributedSynthesisTest, RejectsBadInputs) {

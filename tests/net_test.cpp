@@ -86,19 +86,34 @@ TEST_P(SynthesisProperty, AllAdjacencyMethodsAgree) {
 }
 
 TEST_P(SynthesisProperty, TreeAndSerialReduceAgree) {
-  const table::EventTable events = randomEvents(GetParam() + 400, 300);
+  // Stage 6 three ways: the shard fold (shared memory, several worker
+  // sums), the rank-pair merge tree (message passing, several ranks) and
+  // the serial single-sum reduce (one worker). Every worker count on both
+  // backends must land on the brute force exactly. Ids spread over several
+  // row-range shards, so the fold has more than one shard per sum.
+  const table::EventTable events = randomEvents(
+      GetParam() + 400, 300,
+      5 * (1u << sparse::SymmetricAdjacency::kShardRowBits) + 7);
+  const auto reference = bruteForceAdjacency(events, 0, 48);
+  ASSERT_GT(reference.shardCount(), 1u);
   SynthesisConfig config = baseConfig();
-  config.workers = 5;  // odd count: the merge tree carries a leftover
-  config.treeReduce = true;
-  NetworkSynthesizer tree(config);
-  const auto treeResult = tree.synthesizeAdjacency(events);
-  EXPECT_TRUE(tree.report().treeReduceEnabled);
-  EXPECT_GE(tree.report().reduceTreeDepth, 1u);
-  config.treeReduce = false;
-  NetworkSynthesizer serial(config);
-  const auto serialResult = serial.synthesizeAdjacency(events);
-  EXPECT_FALSE(serial.report().treeReduceEnabled);
-  expectEqualAdjacency(treeResult, serialResult);
+  for (const SynthesisBackend backend :
+       {SynthesisBackend::kSharedMemory, SynthesisBackend::kMessagePassing}) {
+    for (const unsigned workers : {1u, 2u, 3u, 5u, 8u}) {
+      config.backend = backend;
+      config.workers = workers;
+      NetworkSynthesizer synthesizer(config);
+      expectEqualAdjacency(synthesizer.synthesizeAdjacency(events), reference);
+      const SynthesisReport& report = synthesizer.report();
+      EXPECT_EQ(report.reduceShardCount, reference.shardCount());
+      if (backend == SynthesisBackend::kSharedMemory) {
+        EXPECT_EQ(report.reduceMergedSums, workers);
+        EXPECT_EQ(report.reduceTreeDepth, 0u);
+      } else if (workers > 1) {
+        EXPECT_GE(report.reduceTreeDepth, 1u);
+      }
+    }
+  }
 }
 
 TEST_P(SynthesisProperty, BalancedAndNaivePartitionsAgree) {

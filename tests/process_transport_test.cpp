@@ -344,7 +344,7 @@ TEST(InflightCheckpointTest, SnapshotRoundTripsExactly) {
   manifest.filesConsumed = 2;
   manifest.batchesDone = 1;
   manifest.configHash = 0x1234;
-  sparse::SymmetricAdjacency adjacency(32);
+  sparse::SymmetricAdjacency adjacency;
   adjacency.add(1, 2, 3);
 
   InflightBatch inflight;
@@ -385,7 +385,7 @@ TEST(InflightCheckpointTest, CorruptSnapshotIsRejectedNotComputedOn) {
   const FuzzCase fuzz = makeCase(6);
   CheckpointManifest manifest;
   manifest.filesConsumed = 1;
-  sparse::SymmetricAdjacency adjacency(16);
+  sparse::SymmetricAdjacency adjacency;
   InflightBatch inflight;
   for (const Event& event : rowsOf(fuzz.events)) {
     inflight.events.append(event);

@@ -14,6 +14,7 @@
 #include "chisimnet/runtime/comm.hpp"
 #include "chisimnet/runtime/partition.hpp"
 #include "chisimnet/runtime/thread_pool.hpp"
+#include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/util/rng.hpp"
 
 namespace chisimnet::runtime {
@@ -500,53 +501,89 @@ TEST(ParallelFor, SlotsAreInRangeAndNeverShared) {
   EXPECT_EQ(total, 4999u * 5000u / 2);
 }
 
-// ---- tree reduce ----------------------------------------------------------
+// ---- stage-6 shard fold ----------------------------------------------------
 
-TEST(TreeReduce, FoldsEverythingIntoFront) {
-  // Sum with a non-invertible trace of which elements were merged: the
-  // result must contain every input exactly once regardless of tree shape.
-  for (const std::size_t count : {1u, 2u, 3u, 5u, 7u, 8u, 13u, 16u, 17u}) {
-    std::vector<std::uint64_t> items(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      items[i] = std::uint64_t{1} << i;  // distinct bits
+/// Sum of one random adjacency per seed, computed serially pair by pair.
+sparse::SymmetricAdjacency randomSum(std::uint64_t seed, std::size_t adds,
+                                     std::uint32_t idRange) {
+  util::Rng rng(seed);
+  sparse::SymmetricAdjacency sum;
+  for (std::size_t k = 0; k < adds; ++k) {
+    const auto i = static_cast<std::uint32_t>(rng.uniformBelow(idRange));
+    const auto j = static_cast<std::uint32_t>(rng.uniformBelow(idRange));
+    if (i != j) {
+      sum.add(i, j, 1 + rng.uniformBelow(9));
     }
-    const TreeReduceStats stats = treeReduce(
-        items, 4, [](std::uint64_t& into, std::uint64_t& from) {
-          into |= from;
-          from = 0;
-        });
-    EXPECT_EQ(items.front(), (std::uint64_t{1} << count) - 1)
-        << "count=" << count;
-    EXPECT_EQ(stats.merges, count - 1) << "count=" << count;
-    unsigned expectedDepth = 0;
-    for (std::size_t span = 1; span < count; span *= 2) {
-      ++expectedDepth;
+  }
+  return sum;
+}
+
+TEST(ShardFold, FoldsEverySumIntoTheResult) {
+  // Overlapping sums over many shards: the fold must equal the serial
+  // pair-by-pair sum for any number of sums and any worker count, and it
+  // leaves every input empty.
+  constexpr std::uint32_t kIds = 9 << sparse::SymmetricAdjacency::kShardRowBits;
+  for (const std::size_t count : {1u, 2u, 3u, 5u, 8u, 13u}) {
+    sparse::SymmetricAdjacency expected;
+    for (std::size_t s = 0; s < count; ++s) {
+      expected.merge(randomSum(s, 3000, kIds));
     }
-    EXPECT_EQ(stats.depth, expectedDepth) << "count=" << count;
+    for (const unsigned workers : {1u, 2u, 4u, 7u}) {
+      std::vector<sparse::SymmetricAdjacency> sums;
+      for (std::size_t s = 0; s < count; ++s) {
+        sums.push_back(randomSum(s, 3000, kIds));
+      }
+      sparse::SymmetricAdjacency result;
+      result.absorb(sums, workers);
+      EXPECT_EQ(result.toTriplets(), expected.toTriplets())
+          << "count=" << count << " workers=" << workers;
+      EXPECT_EQ(result.shardCount(), expected.shardCount());
+      for (const sparse::SymmetricAdjacency& sum : sums) {
+        EXPECT_EQ(sum.edgeCount(), 0u);
+        EXPECT_EQ(sum.shardCount(), 0u);
+      }
+    }
   }
 }
 
-TEST(TreeReduce, OddWorkerCountsAndSingleItem) {
-  for (const unsigned workers : {1u, 3u, 5u, 7u}) {
-    std::vector<std::uint64_t> items{3, 5, 7, 11, 13};
-    treeReduce(items, workers,
-               [](std::uint64_t& into, std::uint64_t& from) { into += from; });
-    EXPECT_EQ(items.front(), 39u) << "workers=" << workers;
-  }
-  std::vector<std::uint64_t> single{42};
-  const TreeReduceStats stats = treeReduce(
-      single, 4, [](std::uint64_t&, std::uint64_t&) { FAIL() << "no merge"; });
-  EXPECT_EQ(single.front(), 42u);
-  EXPECT_EQ(stats.depth, 0u);
-  EXPECT_EQ(stats.merges, 0u);
+TEST(ShardFold, AccumulatesAcrossFoldsAndCarriesKernelStats) {
+  // A running result that already holds shards (the cross-batch case)
+  // absorbs new sums, including shards only the result or only one sum
+  // holds.
+  constexpr std::uint32_t kWidth = 1u << sparse::SymmetricAdjacency::kShardRowBits;
+  sparse::SymmetricAdjacency result;
+  result.add(1, 2, 5);
+  result.add(3 * kWidth, 3 * kWidth + 1, 1);
+  std::vector<sparse::SymmetricAdjacency> sums(3);
+  sums[0].add(1, 2, 2);
+  sums[1].add(7 * kWidth + 4, 9 * kWidth, 3);
+  sums[2].add(kWidth - 1, kWidth, 4);  // last row of shard 0
+  sparse::AdjacencyKernelStats stats;
+  stats.globalEmits = 6;
+  sums[2].addKernelStats(stats);
+  result.absorb(sums, 3);
+  EXPECT_EQ(result.weight(1, 2), 7u);
+  EXPECT_EQ(result.weight(3 * kWidth, 3 * kWidth + 1), 1u);
+  EXPECT_EQ(result.weight(7 * kWidth + 4, 9 * kWidth), 3u);
+  EXPECT_EQ(result.weight(kWidth - 1, kWidth), 4u);
+  EXPECT_EQ(result.edgeCount(), 4u);
+  EXPECT_EQ(result.shardCount(), 3u);  // shards 0, 3 and 7
+  EXPECT_EQ(result.kernelStats().globalEmits, 6u);
+  EXPECT_EQ(sums[2].kernelStats().globalEmits, 0u);
 }
 
-TEST(TreeReduce, EmptyItemsNoop) {
-  std::vector<int> items;
-  const TreeReduceStats stats =
-      treeReduce(items, 4, [](int&, int&) { FAIL() << "no merge"; });
-  EXPECT_EQ(stats.depth, 0u);
-  EXPECT_EQ(stats.merges, 0u);
+TEST(ShardFold, EmptyInputsNoop) {
+  sparse::SymmetricAdjacency result;
+  std::vector<sparse::SymmetricAdjacency> none;
+  result.absorb(none, 4);
+  EXPECT_EQ(result.edgeCount(), 0u);
+  std::vector<sparse::SymmetricAdjacency> empties(5);
+  result.absorb(empties, 4);
+  EXPECT_EQ(result.shardCount(), 0u);
+  result.add(4, 9, 2);
+  result.absorb(empties, 4);
+  EXPECT_EQ(result.weight(4, 9), 2u);
+  EXPECT_EQ(result.shardCount(), 1u);
 }
 
 // ---- partitioner ----------------------------------------------------------

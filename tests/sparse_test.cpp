@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 
 #include "chisimnet/sparse/adjacency.hpp"
+#include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/sparse/pair_count_map.hpp"
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
 
 namespace chisimnet::sparse {
@@ -348,6 +353,200 @@ TEST(BuildCollocationMatrices, OnePerNonEmptyPlace) {
 TEST(CollocationMatrix, MemoryBytesPositive) {
   const CollocationMatrix matrix = randomMatrix(3, 5, 10, 10);
   EXPECT_GT(matrix.memoryBytes(), 0u);
+}
+
+// ---- row-range shards -------------------------------------------------------
+
+constexpr std::uint32_t kShardWidth = 1u << SymmetricAdjacency::kShardRowBits;
+constexpr std::uint32_t kMaxId = 0xFFFFFFFFu;
+
+/// The pairs of one test input, summed by a plain ordered map: the oracle
+/// every sharded result is compared against.
+using PairSums = std::map<std::pair<std::uint32_t, std::uint32_t>,
+                          std::uint64_t>;
+
+void addBoth(SymmetricAdjacency& adjacency, PairSums& sums, std::uint32_t i,
+             std::uint32_t j, std::uint64_t weight) {
+  adjacency.add(i, j, weight);
+  sums[{std::min(i, j), std::max(i, j)}] += weight;
+}
+
+std::vector<AdjacencyTriplet> sortedReference(const PairSums& sums) {
+  std::vector<AdjacencyTriplet> triplets;
+  for (const auto& [pair, weight] : sums) {
+    triplets.push_back(AdjacencyTriplet{pair.first, pair.second, weight});
+  }
+  return triplets;
+}
+
+/// CADJ bytes of `triplets`, encoded here field by field from the format
+/// description (magic, version, count, LE rows, CRC32 of the rows).
+std::vector<char> referenceCadj(const std::vector<AdjacencyTriplet>& triplets) {
+  const auto put = [](std::vector<std::byte>& out, std::uint64_t value,
+                      int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      out.push_back(static_cast<std::byte>(value >> (8 * b)));
+    }
+  };
+  std::vector<std::byte> payload;
+  for (const AdjacencyTriplet& triplet : triplets) {
+    put(payload, triplet.i, 4);
+    put(payload, triplet.j, 4);
+    put(payload, triplet.weight, 8);
+  }
+  std::vector<std::byte> file;
+  put(file, 0x4A444143, 4);  // "CADJ"
+  put(file, 1, 4);
+  put(file, triplets.size(), 8);
+  file.insert(file.end(), payload.begin(), payload.end());
+  put(file, util::crc32(payload), 4);
+  std::vector<char> bytes(file.size());
+  std::transform(file.begin(), file.end(), bytes.begin(),
+                 [](std::byte b) { return static_cast<char>(b); });
+  return bytes;
+}
+
+std::vector<char> fileBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// toTriplets and saveAdjacency at every worker count must equal the
+/// brute-force sorted reference bit for bit and byte for byte.
+void expectShardedExportMatches(const SymmetricAdjacency& adjacency,
+                                const PairSums& sums,
+                                const std::string& label) {
+  const std::vector<AdjacencyTriplet> reference = sortedReference(sums);
+  const std::vector<char> referenceBytes = referenceCadj(reference);
+  EXPECT_EQ(adjacency.edgeCount(), reference.size()) << label;
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("chisimnet_shard_export_" + label + ".cadj");
+  for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
+    EXPECT_EQ(adjacency.toTriplets(workers), reference)
+        << label << " workers " << workers;
+    saveAdjacency(adjacency, path, workers);
+    EXPECT_EQ(fileBytes(path), referenceBytes)
+        << label << " workers " << workers;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(ShardedAdjacency, ExportMatchesReferenceAcrossShardBoundaries) {
+  // Rows k·W−1 and k·W sit in neighboring shards; pairs straddle them in
+  // both directions, plus a dense random fill over a few shards.
+  SymmetricAdjacency adjacency;
+  PairSums sums;
+  for (std::uint32_t k = 1; k <= 4; ++k) {
+    const std::uint32_t edge = k * kShardWidth;
+    addBoth(adjacency, sums, edge - 1, edge, k);
+    addBoth(adjacency, sums, edge, edge - 1, 1);  // same pair, reversed
+    addBoth(adjacency, sums, edge - 1, edge + 5, 2);
+    addBoth(adjacency, sums, edge, edge + 1, 3);
+    addBoth(adjacency, sums, edge - 2, edge - 1, 4);
+  }
+  util::Rng rng(17);
+  for (int n = 0; n < 20000; ++n) {
+    const auto i = static_cast<std::uint32_t>(rng.uniformBelow(5 * kShardWidth));
+    const auto j = static_cast<std::uint32_t>(rng.uniformBelow(5 * kShardWidth));
+    if (i != j) {
+      addBoth(adjacency, sums, i, j, 1 + rng.uniformBelow(1000));
+    }
+  }
+  EXPECT_EQ(adjacency.shardCount(), 5u);
+  expectShardedExportMatches(adjacency, sums, "boundaries");
+}
+
+TEST(ShardedAdjacency, ExportMatchesReferenceNearMaxIds) {
+  SymmetricAdjacency adjacency;
+  PairSums sums;
+  addBoth(adjacency, sums, kMaxId - 1, kMaxId, 7);
+  addBoth(adjacency, sums, kMaxId - kShardWidth, kMaxId, 1ull << 40);
+  addBoth(adjacency, sums, kMaxId - kShardWidth + 1, kMaxId - 1, 3);
+  addBoth(adjacency, sums, 0, kMaxId, 2);
+  addBoth(adjacency, sums, 1, 2, 5);
+  EXPECT_EQ(adjacency.shardCount(), 3u);
+  expectShardedExportMatches(adjacency, sums, "max_ids");
+}
+
+TEST(ShardedAdjacency, ExportOfEmptyAndSingleShard) {
+  expectShardedExportMatches(SymmetricAdjacency(), PairSums(), "empty");
+  SymmetricAdjacency single;
+  PairSums sums;
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    for (std::uint32_t j = i + 1; j < 60; j += 3) {
+      addBoth(single, sums, i, j, i + j);
+    }
+  }
+  EXPECT_EQ(single.shardCount(), 1u);
+  expectShardedExportMatches(single, sums, "single");
+}
+
+TEST(ShardedAdjacency, MergedAndFoldedOverlappingSumsExport) {
+  // Several sums sharing most of their pairs, combined by serial merge and
+  // by the parallel fold: both must export exactly the summed reference.
+  PairSums sums;
+  std::vector<SymmetricAdjacency> parts(4);
+  util::Rng rng(29);
+  for (int n = 0; n < 8000; ++n) {
+    const auto i = static_cast<std::uint32_t>(rng.uniformBelow(3 * kShardWidth));
+    const auto j = static_cast<std::uint32_t>(rng.uniformBelow(3 * kShardWidth));
+    if (i == j) {
+      continue;
+    }
+    const std::uint64_t weight = 1 + rng.uniformBelow(50);
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      if (p == 0 || rng.uniformBelow(4) != 0) {  // ~75 % overlap
+        addBoth(parts[p], sums, i, j, weight);
+      }
+    }
+  }
+  SymmetricAdjacency merged;
+  for (const SymmetricAdjacency& part : parts) {
+    merged.merge(part);
+  }
+  expectShardedExportMatches(merged, sums, "merged");
+  SymmetricAdjacency folded;
+  folded.absorb(parts, 3);
+  expectShardedExportMatches(folded, sums, "folded");
+}
+
+TEST(ShardedAdjacency, StorageGrowsWithPopulatedRowsOnly) {
+  // Ids near 2^32 map to shard ~2^21: no shard (or directory entry) below
+  // it may be allocated.
+  SymmetricAdjacency adjacency;
+  adjacency.add(kMaxId - 1, kMaxId, 1);
+  adjacency.add(3, 4, 1);
+  EXPECT_EQ(adjacency.shardCount(), 2u);
+  EXPECT_LT(adjacency.memoryBytes(), std::size_t{16} << 10);
+  EXPECT_EQ(adjacency.weight(kMaxId, kMaxId - 1), 1u);
+  EXPECT_EQ(adjacency.weight(kMaxId - 2, kMaxId), 0u);
+  EXPECT_EQ(adjacency.weight(5000, 6000), 0u);
+}
+
+TEST(ShardedAdjacency, AddAllSumsAnyOrderAndSkipsZeroWeights) {
+  const std::vector<AdjacencyTriplet> sorted{
+      {1, 2, 3}, {1, kShardWidth, 4}, {kShardWidth, kShardWidth + 1, 0},
+      {3 * kShardWidth, kMaxId, 5}};
+  SymmetricAdjacency adjacency;
+  adjacency.add(1, 2, 10);
+  SpanTripletSource source(sorted);
+  adjacency.addAll(source);
+  EXPECT_EQ(adjacency.weight(1, 2), 13u);
+  EXPECT_EQ(adjacency.weight(1, kShardWidth), 4u);
+  EXPECT_EQ(adjacency.weight(3 * kShardWidth, kMaxId), 5u);
+  EXPECT_EQ(adjacency.edgeCount(), 3u);
+  EXPECT_EQ(adjacency.shardCount(), 2u);  // the zero-weight row adds none
+  const std::vector<AdjacencyTriplet> shuffled{
+      {3 * kShardWidth, kMaxId, 1}, {1, 2, 1}, {5, 9, 2}, {1, 2, 1}};
+  SpanTripletSource unsorted(shuffled);
+  adjacency.addAll(unsorted);
+  EXPECT_EQ(adjacency.weight(1, 2), 15u);
+  EXPECT_EQ(adjacency.weight(5, 9), 2u);
+  EXPECT_EQ(adjacency.weight(3 * kShardWidth, kMaxId), 6u);
+  const std::vector<AdjacencyTriplet> lower{{4, 3, 1}};
+  SpanTripletSource bad(lower);
+  EXPECT_THROW(adjacency.addAll(bad), std::invalid_argument);
 }
 
 }  // namespace

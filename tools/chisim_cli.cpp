@@ -260,7 +260,6 @@ int cmdSynthesize(const Args& args) {
   // On by default (see EXPERIMENTS.md); --occupancy-weight is still
   // accepted so existing invocations keep working.
   config.occupancyWeight = !args.has("nnz-weight");
-  config.treeReduce = !args.has("serial-reduce");
   const std::string method = args.str("method", "local");
   if (method == "spgemm") {
     config.method = sparse::AdjacencyMethod::kSpGemm;
@@ -332,7 +331,7 @@ int cmdSynthesize(const Args& args) {
   } else {
     const auto adjacency = synthesizer.synthesizeAdjacency(files);
     edges = adjacency.edgeCount();
-    sparse::saveAdjacency(adjacency, out);
+    sparse::saveAdjacency(adjacency, out, config.workers);
   }
   const auto& report = synthesizer.report();
   std::cout << "synthesized " << edges << " edges from "
@@ -353,10 +352,17 @@ int cmdSynthesize(const Args& args) {
               << report.kernelPairHourUpdates << " local updates -> "
               << report.kernelGlobalEmits << " global emits\n";
   }
-  std::cout << "reduce: " << (report.treeReduceEnabled ? "tree" : "serial")
-            << ", " << report.reduceMergedSums << " worker sums, depth "
-            << report.reduceTreeDepth << ", critical path "
-            << report.reduceCriticalSeconds << " s\n";
+  if (config.memoryBudgetBytes == 0) {
+    std::cout << "reduce: " << report.reduceMergedSums << " worker sums -> "
+              << report.reduceShardCount << " row-range shards, ";
+    if (report.backend == net::SynthesisBackend::kMessagePassing) {
+      std::cout << "rank-pair merge tree of depth " << report.reduceTreeDepth
+                << ", critical path ";
+    } else {
+      std::cout << "shard fold on " << config.workers << " threads, wall ";
+    }
+    std::cout << report.reduceCriticalSeconds << " s\n";
+  }
   std::cout << "load: " << report.loadSeconds << " s total, "
             << report.loadExposedSeconds << " s exposed on the compute path";
   if (report.prefetchEnabled) {
@@ -569,7 +575,7 @@ void printUsage() {
       "  synthesize  --logs DIR --out FILE.cadj [--window-start H] [--window-end H]\n"
       "              [--backend shared|mp] [--workers W] [--batch N]\n"
       "              [--no-balance] [--nnz-weight]\n"
-      "              [--method local|spgemm|intersect] [--serial-reduce]\n"
+      "              [--method local|spgemm|intersect]\n"
       "              [--no-prefetch] [--prefetch-depth N] [--decode-workers W]\n"
       "              [--fault-policy failfast|degrade] [--max-quarantined-files N]\n"
       "              [--command-timeout-ms MS] [--checkpoint-dir DIR] [--resume]\n"
