@@ -19,8 +19,7 @@
 #include "chisimnet/net/executor.hpp"
 #include "chisimnet/net/mp_protocol.hpp"
 #include "chisimnet/runtime/fault.hpp"
-#include "chisimnet/runtime/process_transport.hpp"
-#include "chisimnet/runtime/tcp_transport.hpp"
+#include "chisimnet/runtime/socket_transport.hpp"
 #include "chisimnet/util/error.hpp"
 #include "chisimnet/util/timer.hpp"
 
@@ -169,30 +168,29 @@ MessagePassingExecutor::MessagePassingExecutor(const SynthesisConfig& config)
     : SynthesisExecutor(config),
       ranks_(static_cast<int>(config.workers)),
       pending_(static_cast<std::size_t>(config.workers)) {
-  if (config.transport == MpTransport::kProcess) {
-    // Worker ranks are separate OS processes behind Unix-domain sockets.
-    // The hello payload carries the stage parameters, so a worker (or a
-    // respawned replacement) computes with exactly the root's config.
-    runtime::ProcessTransportOptions options;
-    options.rankCount = ranks_;
-    options.heartbeatMs = config.heartbeatMs;
-    options.maxRespawns = config.maxRespawns;
-    options.executable = config.workerExecutable;
-    options.helloPayload = mp::encodeStageParams(stageParamsOf(config));
-    auto transport = std::make_unique<runtime::ProcessTransport>(options);
-    processTransport_ = transport.get();
-    team_ = std::make_unique<runtime::RankTeam>(std::move(transport));
-  } else if (config.transport == MpTransport::kTcp) {
-    // Worker ranks dial rank 0 over TCP. Stage commands run with shipRuns:
+  if (config.transport == MpTransport::kInProcess) {
+    team_ = std::make_unique<runtime::RankTeam>(
+        ranks_, [this](runtime::RankHandle& handle) { serviceLoop(handle); });
+    return;
+  }
+  // Worker ranks are separate OS processes behind sockets. The hello
+  // payload carries the stage parameters, so a worker (or its respawned or
+  // re-dialed replacement) computes with exactly the root's config.
+  runtime::SocketTransportOptions options;
+  options.rankCount = ranks_;
+  options.heartbeatMs = config.heartbeatMs;
+  options.maxRespawns = config.maxRespawns;
+  options.connectTimeoutMs = config.connectTimeoutMs;
+  options.connectRetries = config.connectRetries;
+  options.reconnectGraceMs = config.reconnectGraceMs;
+  options.executable = config.workerExecutable;
+  options.helloPayload = mp::encodeStageParams(stageParamsOf(config));
+  auto bootstrap = runtime::SocketTransport::Bootstrap::kSpawn;
+  if (config.transport == MpTransport::kTcp) {
+    // Workers dial rank 0 over TCP. Stage commands run with shipRuns:
     // workers spill locally and ship run bytes on kShipTag, which the sink
     // materializes into the root's spill directory.
-    runtime::TcpTransportOptions options;
-    options.rankCount = ranks_;
-    options.heartbeatMs = config.heartbeatMs;
-    options.connectTimeoutMs = config.connectTimeoutMs;
-    options.connectRetries = config.connectRetries;
-    options.reconnectGraceMs = config.reconnectGraceMs;
-    options.executable = config.workerExecutable;
+    bootstrap = runtime::SocketTransport::Bootstrap::kAccept;
     if (!config.tcpListen.empty()) {
       std::tie(options.listenHost, options.listenPort) =
           runtime::parseHostPort(config.tcpListen);
@@ -203,29 +201,25 @@ MessagePassingExecutor::MessagePassingExecutor(const SynthesisConfig& config)
       options.spawnWorkers = false;
       options.connectAddresses = readTcpJobFile(config.tcpJob);
     }
-    options.helloPayload = mp::encodeStageParams(stageParamsOf(config));
-    auto transport = std::make_unique<runtime::TcpTransport>(options);
-    tcpTransport_ = transport.get();
-    team_ = std::make_unique<runtime::RankTeam>(std::move(transport));
     shipRuns_ = true;
     shipSink_ = std::make_unique<RunShipSink>(config.spillDir);
-    // Bound the wait by the workers' own dial budget plus slack, so a
-    // worker that is still backing off is not declared missing.
-    const std::uint64_t waitMs = std::max<std::uint64_t>(
-        10000,
-        config.connectTimeoutMs *
-                static_cast<std::uint64_t>(config.connectRetries + 1) +
-            5000);
-    CHISIM_CHECK(
-        tcpTransport_->waitForWorkers(std::chrono::milliseconds(waitMs)),
-        "tcp transport: not all workers connected within " +
-            std::to_string(waitMs) + " ms (listening on " +
-            options.listenHost + ":" + std::to_string(tcpTransport_->port()) +
-            ")");
-  } else {
-    team_ = std::make_unique<runtime::RankTeam>(
-        ranks_, [this](runtime::RankHandle& handle) { serviceLoop(handle); });
   }
+  auto transport =
+      std::make_unique<runtime::SocketTransport>(bootstrap, options);
+  socketTransport_ = transport.get();
+  team_ = std::make_unique<runtime::RankTeam>(std::move(transport));
+  // Bound the wait by the workers' own dial budget plus slack, so a worker
+  // that is still backing off is not declared missing. (Spawned workers
+  // are connected by the time the transport is constructed.)
+  const std::uint64_t waitMs = std::max<std::uint64_t>(
+      10000, config.connectTimeoutMs *
+                     static_cast<std::uint64_t>(config.connectRetries + 1) +
+                 5000);
+  CHISIM_CHECK(
+      socketTransport_->waitForWorkers(std::chrono::milliseconds(waitMs)),
+      "socket transport: not all workers connected within " +
+          std::to_string(waitMs) + " ms (listening on " + options.listenHost +
+          ":" + std::to_string(socketTransport_->port()) + ")");
 }
 
 MessagePassingExecutor::~MessagePassingExecutor() {
@@ -847,33 +841,19 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
 }
 
 std::vector<FaultEvent> MessagePassingExecutor::drainFaultEvents() {
-  if (processTransport_ != nullptr) {
-    for (runtime::ProcessTransport::WorkerEvent& event :
-         processTransport_->drainEvents()) {
-      if (event.kind !=
-          runtime::ProcessTransport::WorkerEvent::Kind::kRespawn) {
+  if (socketTransport_ != nullptr) {
+    using WorkerEvent = runtime::SocketTransport::WorkerEvent;
+    for (WorkerEvent& event : socketTransport_->drainEvents()) {
+      if (event.kind == WorkerEvent::Kind::kPermanentDeath) {
         // Permanent deaths are accounted as kRankLost by the command retry
         // loop (markLost), which owns the live set; double-reporting them
         // here would double-count ranksLost.
         continue;
       }
       FaultEvent mapped;
-      mapped.kind = FaultEvent::Kind::kWorkerRespawn;
-      mapped.rank = event.rank;
-      mapped.detail = std::move(event.detail);
-      faultEvents_.push_back(std::move(mapped));
-    }
-  }
-  if (tcpTransport_ != nullptr) {
-    for (runtime::TcpTransport::WorkerEvent& event :
-         tcpTransport_->drainEvents()) {
-      if (event.kind != runtime::TcpTransport::WorkerEvent::Kind::kReconnect) {
-        // Permanent deaths are accounted as kRankLost by the command retry
-        // loop (markLost), which owns the live set.
-        continue;
-      }
-      FaultEvent mapped;
-      mapped.kind = FaultEvent::Kind::kWorkerReconnect;
+      mapped.kind = event.kind == WorkerEvent::Kind::kRespawn
+                        ? FaultEvent::Kind::kWorkerRespawn
+                        : FaultEvent::Kind::kWorkerReconnect;
       mapped.rank = event.rank;
       mapped.detail = std::move(event.detail);
       faultEvents_.push_back(std::move(mapped));
@@ -884,12 +864,12 @@ std::vector<FaultEvent> MessagePassingExecutor::drainFaultEvents() {
 
 namespace {
 
-/// Worker-side RunShipper over a TcpWorkerLink: streams the file as
+/// Worker-side RunShipper over the WorkerLink: streams the file as
 /// kShipTag chunks (ahead of the reply that references it) and returns
 /// the bare name the reply's shipped ref carries.
-class TcpLinkShipper final : public mp::RunShipper {
+class LinkShipper final : public mp::RunShipper {
  public:
-  explicit TcpLinkShipper(runtime::TcpWorkerLink& link) : link_(link) {}
+  explicit LinkShipper(runtime::WorkerLink& link) : link_(link) {}
 
   std::string ship(const std::filesystem::path& file,
                    std::uint64_t bytes) override {
@@ -926,7 +906,7 @@ class TcpLinkShipper final : public mp::RunShipper {
   }
 
  private:
-  runtime::TcpWorkerLink& link_;
+  runtime::WorkerLink& link_;
 };
 
 void installWorkerFaultPlan() {
@@ -940,7 +920,12 @@ void installWorkerFaultPlan() {
   }
 }
 
-int runTcpSynthesisWorker() {
+}  // namespace
+
+std::optional<int> maybeRunSynthesisWorker() {
+  if (!runtime::WorkerLink::isWorkerProcess()) {
+    return std::nullopt;
+  }
   std::filesystem::path localSpill;
   const auto cleanup = [&localSpill]() {
     if (!localSpill.empty()) {
@@ -950,9 +935,10 @@ int runTcpSynthesisWorker() {
   };
   try {
     installWorkerFaultPlan();
-    runtime::TcpWorkerLink link;
-    const runtime::TcpWorkerLink::Hello hello = link.handshake();
+    runtime::WorkerLink link;
+    const runtime::WorkerLink::Hello hello = link.handshake();
     mp::StageParams params = mp::decodeStageParams(hello.payload);
+    std::optional<LinkShipper> shipper;
     if (params.shipRuns) {
       // No shared filesystem is assumed: spill into a private local
       // directory and ship run bytes to the root over the wire. The
@@ -962,26 +948,26 @@ int runTcpSynthesisWorker() {
                     "-" + std::to_string(::getpid()));
       std::filesystem::create_directories(localSpill);
       params.spillDir = localSpill.string();
+      shipper.emplace(link);
     }
-    TcpLinkShipper shipper(link);
     while (true) {
       const runtime::Message message = link.recv();
       if (message.tag != mp::kCommandTag) {
         continue;  // not a command frame; nothing to service
       }
       std::vector<std::byte> reply;
-      switch (mp::serviceSynthesisCommand(params, link.rank(),
-                                          message.payload, reply, &shipper)) {
+      switch (mp::serviceSynthesisCommand(
+          params, link.rank(), message.payload, reply,
+          shipper.has_value() ? &*shipper : nullptr)) {
         case mp::ServiceOutcome::kReply:
           link.send(mp::kReplyTag, reply);
           break;
         case mp::ServiceOutcome::kStop:
-          cleanup();
-          return 0;
         case mp::ServiceOutcome::kDie:
-          // Injected silent death: exit without replying. The root sees
-          // the connection close; the slot machine decides between the
-          // reconnect grace and permanent loss.
+          // kDie is an injected silent death: exit without replying. The
+          // root sees the connection close and its slot machine decides
+          // between respawn, the reconnect grace and permanent loss — the
+          // socket analogue of an in-process service thread returning.
           cleanup();
           return 0;
       }
@@ -989,52 +975,9 @@ int runTcpSynthesisWorker() {
   } catch (const std::exception& error) {
     // Includes the orderly "root connection closed" on root teardown and
     // the permanent-down link after an exhausted re-dial budget; either
-    // way the worker has nothing left to do.
+    // way the worker has nothing left to do. Real errors are logged for
+    // the parent's stderr.
     cleanup();
-    std::fprintf(stderr, "chisim worker: %s\n", error.what());
-    return 1;
-  }
-}
-
-}  // namespace
-
-std::optional<int> maybeRunSynthesisWorker() {
-  if (runtime::TcpWorkerLink::isTcpWorkerProcess()) {
-    return runTcpSynthesisWorker();
-  }
-  if (!runtime::ProcessWorkerLink::isWorkerProcess()) {
-    return std::nullopt;
-  }
-  try {
-    installWorkerFaultPlan();
-    runtime::ProcessWorkerLink link;
-    const runtime::ProcessWorkerLink::Hello hello = link.handshake();
-    const mp::StageParams params = mp::decodeStageParams(hello.payload);
-    while (true) {
-      const runtime::Message message = link.recv();
-      if (message.tag != mp::kCommandTag) {
-        continue;  // not a command frame; nothing to service
-      }
-      std::vector<std::byte> reply;
-      switch (mp::serviceSynthesisCommand(params, link.rank(),
-                                          message.payload, reply)) {
-        case mp::ServiceOutcome::kReply:
-          link.send(mp::kReplyTag, reply);
-          break;
-        case mp::ServiceOutcome::kStop:
-          return 0;
-        case mp::ServiceOutcome::kDie:
-          // Injected silent death: exit without replying. The root sees
-          // the socket close and drives the respawn/loss state machine —
-          // the process-transport analogue of the in-process service
-          // thread returning mid-run.
-          return 0;
-      }
-    }
-  } catch (const std::exception& error) {
-    // Includes the orderly "root connection closed" on root teardown
-    // without a stop command; either way the worker has nothing left to
-    // do. Real errors are logged for the parent's stderr.
     std::fprintf(stderr, "chisim worker: %s\n", error.what());
     return 1;
   }

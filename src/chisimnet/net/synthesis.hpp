@@ -62,15 +62,16 @@ enum class MpTransport {
   /// frames beyond the command payloads).
   kInProcess,
   /// Ranks are fork/exec'd OS processes speaking length-framed Unix-domain
-  /// socket streams (runtime::ProcessTransport). A worker crash — real
-  /// SIGKILL included — is survived by respawn and/or the rank-loss
-  /// reassignment path, with bit-identical output.
+  /// socket streams (runtime::SocketTransport, spawn bootstrap). A worker
+  /// crash — real SIGKILL included — is survived by respawn and/or the
+  /// rank-loss reassignment path, with bit-identical output.
   kProcess,
-  /// Ranks dial rank 0 over TCP (runtime::TcpTransport) speaking the same
-  /// CSF1 frames — the multi-host story. A dropped connection is survived
-  /// by worker-initiated reconnect inside a grace window (epoch-replayed
-  /// handshake) and/or the same rank-loss reassignment path; spill runs
-  /// ship their bytes over the wire, so workers need no shared filesystem.
+  /// Ranks dial rank 0 over TCP (runtime::SocketTransport, accept
+  /// bootstrap) speaking the same CSF1 frames — the multi-host story. A
+  /// dropped connection is survived by worker-initiated reconnect inside a
+  /// grace window (epoch-replayed handshake) and/or the same rank-loss
+  /// reassignment path; spill runs ship their bytes over the wire, so
+  /// workers need no shared filesystem.
   kTcp,
 };
 

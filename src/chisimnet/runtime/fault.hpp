@@ -29,11 +29,22 @@
 ///   mp.service.command  RankTeam service loop, on each received command
 ///   mp.send             MessagePassingExecutor root, before each command send
 ///   mp.collect          MessagePassingExecutor root, before each reply wait
-///   proc.send           ProcessTransport root, per outgoing wire frame
+///   proc.send           SocketTransport root, per outgoing wire frame
 ///                       (kTruncate = torn write; kKillRank = SIGKILL the
-///                       destination worker process)
-///   proc.worker.send    ProcessWorkerLink, per outgoing wire frame in the
-///                       worker process (kTruncate = torn write)
+///                       destination's local worker process)
+///   proc.worker.send    WorkerLink, per outgoing wire frame in the worker
+///                       process, either bootstrap (kTruncate = torn write;
+///                       the root rejects the frame and drops the link)
+///   tcp.delay           SocketTransport root, per outgoing wire frame
+///                       (kDelay = stall the frame)
+///   tcp.drop            SocketTransport root, per outgoing wire frame
+///                       (kKillRank = drop the connection, recovered as
+///                       the slot's bootstrap dictates; kTruncate = torn
+///                       write)
+///   tcp.accept          SocketTransport accept loop, per parsed hello
+///                       (kThrow = refuse the dial)
+///   tcp.connect         WorkerLink / dialOnce, per dial attempt
+///                       (kThrow = fail the attempt)
 ///   spill.write         SpillRunWriter::finish, after the run body is on
 ///                       disk but BEFORE the tmp→final rename (kThrow models
 ///                       a crash mid-spill leaving only a .tmp orphan)
@@ -72,7 +83,8 @@ enum class FaultAction : std::uint32_t {
   kTruncate,
   /// Returned to the caller, which must simulate a dead rank (a service
   /// loop returns without replying and stays silent forever). At
-  /// proc.send it is real: the destination worker process is SIGKILLed.
+  /// proc.send it is real: the destination worker process is SIGKILLed;
+  /// at tcp.drop the connection is dropped.
   kKillRank,
   /// Raises SIGKILL against the *current* process — a real, unhandleable
   /// crash. Only meaningful inside a transport worker process (shipped

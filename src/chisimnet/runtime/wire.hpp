@@ -12,10 +12,11 @@
 
 /// CSF1 wire framing and shared stream-socket plumbing.
 ///
-/// One frame codec serves every transport that crosses a process boundary:
-/// the socketpair-based process transport (process_transport.hpp) and the
-/// TCP transport (tcp_transport.hpp) speak byte-identical frames, so a
-/// worker neither knows nor cares which socket kind carried its commands.
+/// One frame codec serves every connection that crosses a process
+/// boundary: the socket transport (socket_transport.hpp) speaks
+/// byte-identical frames over an inherited Unix-domain socketpair and over
+/// a dialed TCP connection, so a worker neither knows nor cares which
+/// socket kind carried its commands.
 ///
 /// ## Frame format (all integers little-endian, host order)
 ///

@@ -28,7 +28,7 @@
 #include "chisimnet/runtime/comm.hpp"
 #include "chisimnet/runtime/fault.hpp"
 #include "chisimnet/runtime/heartbeat.hpp"
-#include "chisimnet/runtime/process_transport.hpp"
+#include "chisimnet/runtime/socket_transport.hpp"
 #include "chisimnet/util/rng.hpp"
 
 /// Process-isolated transport suite: the wire frame decoder against

@@ -8,12 +8,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "chisimnet/elog/clg5.hpp"
@@ -23,7 +25,7 @@
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/runtime/comm.hpp"
 #include "chisimnet/runtime/fault.hpp"
-#include "chisimnet/runtime/tcp_transport.hpp"
+#include "chisimnet/runtime/socket_transport.hpp"
 #include "chisimnet/runtime/wire.hpp"
 #include "chisimnet/util/rng.hpp"
 
@@ -42,8 +44,8 @@ namespace {
 using runtime::FaultAction;
 using runtime::FaultPlan;
 using runtime::FaultSpec;
-using runtime::TcpTransport;
-using runtime::TcpTransportOptions;
+using runtime::SocketTransport;
+using runtime::SocketTransportOptions;
 using runtime::wire::Frame;
 using runtime::wire::FrameKind;
 using runtime::wire::FrameReader;
@@ -185,6 +187,81 @@ TEST(TcpAddressTest, HostPortSpecsParseAndMalformedOnesThrow) {
   EXPECT_THROW(runtime::parseHostPort("host:"), std::exception);
   EXPECT_THROW(runtime::parseHostPort("host:notaport"), std::exception);
   EXPECT_THROW(runtime::parseHostPort("host:65536"), std::exception);
+  // The whole port text must be digits: no trailing garbage, no padding.
+  EXPECT_THROW(runtime::parseHostPort("host:80abc"), std::exception);
+  EXPECT_THROW(runtime::parseHostPort("host: 80"), std::exception);
+  EXPECT_THROW(runtime::parseHostPort("host:8080 "), std::exception);
+}
+
+/// Sets worker bootstrap variables for one scope and clears every one of
+/// them afterwards, so later tests never see a half-bootstrapped env.
+class ScopedBootstrapEnv {
+ public:
+  ScopedBootstrapEnv(
+      std::initializer_list<std::pair<const char*, std::string>> vars) {
+    for (const auto& [name, value] : vars) {
+      ::setenv(name, value.c_str(), 1);
+    }
+  }
+  ~ScopedBootstrapEnv() {
+    for (const char* name :
+         {runtime::kWorkerFdEnv, runtime::kWorkerTcpEnv,
+          runtime::kWorkerRankEnv, runtime::kWorkerRankCountEnv,
+          runtime::kWorkerConnectTimeoutEnv,
+          runtime::kWorkerConnectRetriesEnv}) {
+      ::unsetenv(name);
+    }
+  }
+};
+
+/// The name of the variable a WorkerLink bootstrap rejects, or "" when it
+/// constructs.
+std::string rejectedVariable() {
+  try {
+    runtime::WorkerLink link;
+    return "";
+  } catch (const runtime::WorkerBootstrapError& error) {
+    EXPECT_NE(std::string(error.what()).find(error.variable()),
+              std::string::npos);
+    return error.variable();
+  }
+}
+
+TEST(WorkerBootstrapTest, MalformedVariablesAreRejectedByName) {
+  {  // non-numeric fd (a lenient parse would make it fd 0, stdin)
+    ScopedBootstrapEnv env({{runtime::kWorkerFdEnv, "abc"},
+                            {runtime::kWorkerRankEnv, "1"},
+                            {runtime::kWorkerRankCountEnv, "3"}});
+    EXPECT_EQ(rejectedVariable(), runtime::kWorkerFdEnv);
+  }
+  {  // negative fd
+    ScopedBootstrapEnv env({{runtime::kWorkerFdEnv, "-3"},
+                            {runtime::kWorkerRankEnv, "1"},
+                            {runtime::kWorkerRankCountEnv, "3"}});
+    EXPECT_EQ(rejectedVariable(), runtime::kWorkerFdEnv);
+  }
+  {  // rank not below the rank count
+    ScopedBootstrapEnv env({{runtime::kWorkerFdEnv, "5"},
+                            {runtime::kWorkerRankEnv, "3"},
+                            {runtime::kWorkerRankCountEnv, "3"}});
+    EXPECT_EQ(rejectedVariable(), runtime::kWorkerRankEnv);
+  }
+  {  // non-numeric retry count on a dialed link
+    ScopedBootstrapEnv env({{runtime::kWorkerTcpEnv, "127.0.0.1:9"},
+                            {runtime::kWorkerRankEnv, "1"},
+                            {runtime::kWorkerRankCountEnv, "3"},
+                            {runtime::kWorkerConnectRetriesEnv, "two"}});
+    EXPECT_EQ(rejectedVariable(), runtime::kWorkerConnectRetriesEnv);
+  }
+  {  // a well-formed inherited-socket bootstrap constructs without I/O
+    int fds[2] = {-1, -1};
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ScopedBootstrapEnv env({{runtime::kWorkerFdEnv, std::to_string(fds[1])},
+                            {runtime::kWorkerRankEnv, "1"},
+                            {runtime::kWorkerRankCountEnv, "3"}});
+    EXPECT_EQ(rejectedVariable(), "");  // the link closed fds[1]
+    ::close(fds[0]);
+  }
 }
 
 // ---- run-shipping codecs ----
@@ -352,6 +429,38 @@ TEST(TcpSynthesisTest, ScriptedConnectionDropReconnectsBitIdentical) {
   EXPECT_FALSE(hasFault(report, FaultEvent::Kind::kRankLost));
 }
 
+/// The worker-side send site over TCP: rank 1 tears its first reply
+/// mid-header. The root rejects the torn frame and drops the connection,
+/// the worker re-dials inside the grace window, and the retried command
+/// lands on the re-admitted connection with bit-identical output.
+TEST(TcpSynthesisTest, TornWorkerReplyIsRejectedAndRedialed) {
+  const FuzzCase fuzz = makeCase(185);
+  const auto reference =
+      bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd);
+  ScratchDir scratch("chisimnet_tcp_torn_reply");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 4);
+
+  // Worker-side site, shipped via the bootstrap environment; 12 bytes
+  // keeps the magic, kind and tag but cuts the length field.
+  FaultPlan plan;
+  plan.at("proc.worker.send", FaultSpec{.action = FaultAction::kTruncate,
+                                        .hit = 1,
+                                        .rank = 1,
+                                        .truncateTo = 12});
+  runtime::fault::ScopedFaultPlan scoped(plan);
+
+  SynthesisConfig config = tcpConfig(fuzz);
+  config.filesPerBatch = 2;
+  NetworkSynthesizer synthesizer(config);
+  const auto adjacency = synthesizer.synthesizeAdjacency(files);
+  expectEqualAdjacency(adjacency, reference, "tcp torn worker reply");
+  const SynthesisReport& report = synthesizer.report();
+  EXPECT_EQ(report.ranksLost, 0);
+  EXPECT_GE(report.workersReconnected, 1u);
+  EXPECT_TRUE(hasFault(report, FaultEvent::Kind::kWorkerReconnect));
+}
+
 /// Acceptance (reassignment path): worker rank 2 SIGKILLs itself on its
 /// first command. Over TCP there is no respawn; the reaped child
 /// short-circuits the grace window, the rank goes permanently dead, and
@@ -432,10 +541,10 @@ TEST(TcpSynthesisTest, SpillModeShipsRunBytesBitIdentical) {
 
 /// A bare 2-rank transport that spawns nothing: the test plays the worker
 /// (or the attacker) over raw client sockets against port().
-std::unique_ptr<TcpTransport> bareTransport(std::uint64_t graceMs = 2000,
+std::unique_ptr<SocketTransport> bareTransport(std::uint64_t graceMs = 2000,
                                             std::uint64_t heartbeatMs = 200,
                                             int missLimit = 8) {
-  TcpTransportOptions options;
+  SocketTransportOptions options;
   options.rankCount = 2;
   options.spawnWorkers = false;
   options.heartbeatMs = heartbeatMs;
@@ -443,12 +552,13 @@ std::unique_ptr<TcpTransport> bareTransport(std::uint64_t graceMs = 2000,
   options.reconnectGraceMs = graceMs;
   options.connectTimeoutMs = 1000;
   options.helloPayload = {std::byte{0xC5}, std::byte{0x1}};
-  return std::make_unique<TcpTransport>(std::move(options));
+  return std::make_unique<SocketTransport>(
+      SocketTransport::Bootstrap::kAccept, std::move(options));
 }
 
 /// Dials the transport and sends one worker hello; returns the connected
 /// fd (caller closes).
-int dialAndSendHello(const TcpTransport& transport, int rank,
+int dialAndSendHello(const SocketTransport& transport, int rank,
                      std::uint64_t claimedEpoch) {
   const int fd = runtime::dialOnce("127.0.0.1", transport.port(),
                                    std::chrono::milliseconds(1000), rank);
@@ -584,7 +694,7 @@ TEST(TcpHandshakeTest, HalfOpenConnectionIsDetectedByPingSilence) {
   EXPECT_TRUE(std::any_of(
       events.begin(), events.end(), [](const auto& event) {
         return event.kind ==
-               TcpTransport::WorkerEvent::Kind::kPermanentDeath;
+               SocketTransport::WorkerEvent::Kind::kPermanentDeath;
       }));
   ::close(fd);
 }

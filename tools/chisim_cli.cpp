@@ -31,8 +31,7 @@
 
 #include "chisimnet/chisimnet.hpp"
 #include "chisimnet/runtime/fault.hpp"
-#include "chisimnet/runtime/process_transport.hpp"
-#include "chisimnet/runtime/tcp_transport.hpp"
+#include "chisimnet/runtime/socket_transport.hpp"
 
 namespace {
 
