@@ -7,6 +7,7 @@
 /// its default population so the same binaries serve quick smoke runs
 /// (CHISIMNET_SCALE=0.1) and long reproductions (CHISIMNET_SCALE=4).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -114,6 +115,31 @@ inline std::string fmt(double value, int precision = 3) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
   return buffer;
+}
+
+/// Best and worst wall seconds over the repeats of a timed run.
+struct Timing {
+  double best = 0.0;
+  double worst = 0.0;
+
+  /// Run-to-run spread, (worst - best) / best, as a percentage.
+  std::string spread() const {
+    return fmt(100.0 * (worst - best) / best, 0) + "%";
+  }
+};
+
+/// Min-of-N wall seconds of `run`, keeping the last result in `out`.
+template <class Out, class Run>
+Timing timeRepeated(int repeats, Out& out, Run&& run) {
+  Timing timing;
+  for (int repeat = 0; repeat < repeats; ++repeat) {
+    util::WallTimer timer;
+    out = run();
+    const double seconds = timer.seconds();
+    timing.best = repeat == 0 ? seconds : std::min(timing.best, seconds);
+    timing.worst = std::max(timing.worst, seconds);
+  }
+  return timing;
 }
 
 /// Flat machine-readable metrics dump. Benches collect (key, value) pairs

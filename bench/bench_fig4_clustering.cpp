@@ -22,25 +22,6 @@ namespace {
 constexpr int kKernelRepeats = 3;
 constexpr double kGateSpeedup = 10.0;
 
-struct Timing {
-  double best = 0.0;
-  double worst = 0.0;
-};
-
-/// Min-of-N wall seconds of `run`, keeping the last result in `out`.
-template <class Run>
-Timing timeRepeated(int repeats, std::vector<double>& out, Run&& run) {
-  Timing timing;
-  for (int repeat = 0; repeat < repeats; ++repeat) {
-    chisimnet::util::WallTimer timer;
-    out = run();
-    const double seconds = timer.seconds();
-    timing.best = repeat == 0 ? seconds : std::min(timing.best, seconds);
-    timing.worst = std::max(timing.worst, seconds);
-  }
-  return timing;
-}
-
 }  // namespace
 
 int main() {
@@ -85,13 +66,10 @@ int main() {
   const bool identical = coefficients == referenceCoefficients &&
                          serialCoefficients == referenceCoefficients;
   const double speedup = reference.best / kernel.best;
-  const auto spread = [](const Timing& timing) {
-    return fmt(100.0 * (timing.worst - timing.best) / timing.best, 0) + "%";
-  };
   std::cout << "clustering kernel (min-of-" << kKernelRepeats << "): "
             << fmt(kernel.best, 3) << " s at " << workers << " workers (spread "
-            << spread(kernel) << "), " << fmt(serial.best, 3)
-            << " s at 1 worker (spread " << spread(serial) << ")\n"
+            << kernel.spread() << "), " << fmt(serial.best, 3)
+            << " s at 1 worker (spread " << serial.spread() << ")\n"
             << "merge-intersection reference: " << fmt(reference.best, 3)
             << " s\n\n";
   printRow("kernel speedup vs reference", ">= 10x required",

@@ -64,6 +64,13 @@ class Graph {
     return offsets_[v + 1] - offsets_[v];
   }
 
+  /// The whole CSR, for kernels that walk it directly: row v is
+  /// [rowOffsets()[v], rowOffsets()[v + 1]) of allNeighbors() and
+  /// allWeights(). rowOffsets() is empty for a default-built graph.
+  std::span<const std::uint64_t> rowOffsets() const noexcept { return offsets_; }
+  std::span<const Vertex> allNeighbors() const noexcept { return neighbors_; }
+  std::span<const Weight> allWeights() const noexcept { return weights_; }
+
   /// Sum of all edge weights (each undirected edge counted once).
   Weight totalWeight() const noexcept;
 

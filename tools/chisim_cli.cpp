@@ -445,9 +445,11 @@ int cmdAnalyze(const Args& args) {
   std::cout << "components: " << components.count() << ", giant "
             << components.giantSize() << " vertices\n";
 
+  // --workers spreads the clustering kernel and Louvain's modularity and
+  // aggregation; the printed output is the same for every value.
+  const auto workers = static_cast<unsigned>(
+      args.u64("workers", std::thread::hardware_concurrency()));
   if (args.has("clustering")) {
-    const auto workers = static_cast<unsigned>(
-        args.u64("workers", std::thread::hardware_concurrency()));
     const auto coefficients =
         graph::localClusteringCoefficients(network, workers);
     std::uint64_t atOne = 0;
@@ -459,7 +461,7 @@ int cmdAnalyze(const Args& args) {
   }
   if (args.has("communities")) {
     util::Rng rng(args.u64("seed", 1));
-    const auto assignment = graph::louvain(network, rng);
+    const auto assignment = graph::louvain(network, rng, 10, workers);
     std::cout << "louvain: " << assignment.communityCount
               << " communities, modularity " << assignment.modularity << "\n";
   }
@@ -587,7 +589,7 @@ void printUsage() {
       "  worker      --connect HOST:PORT --rank N --rank-count R\n"
       "              [--connect-timeout-ms MS] [--connect-retries N]\n"
       "              (join a --transport tcp synthesis root from another host)\n"
-      "  analyze     --net FILE.cadj [--clustering [--workers W]] [--communities]\n"
+      "  analyze     --net FILE.cadj [--clustering] [--communities] [--workers W]\n"
       "              [--degrees-out FILE.tsv]\n"
       "  ego         --net FILE.cadj --out PREFIX [--person P] [--radius R]\n"
       "  export      --logs DIR --out FILE.tsv [--window-start H]\n"
