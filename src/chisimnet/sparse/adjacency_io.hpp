@@ -63,9 +63,14 @@ class CadjError : public std::runtime_error {
 };
 
 /// Loads triplets; validates magic, version, the header count against the
-/// file size (before allocating), and the CRC. The payload is decoded in
-/// bounded chunks, so only the triplets are held in full. Throws CadjError.
-std::vector<AdjacencyTriplet> loadTriplets(const std::filesystem::path& path);
+/// file size (before allocating), and the CRC. The payload's 1 MiB chunks
+/// are read (pread) straight into the result and CRCed on up to `workers`
+/// threads, so only the triplets are held in full. Throws CadjError: at the
+/// footer offset on a CRC mismatch, at a chunk's offset if the file shrinks
+/// while it is read.
+std::vector<AdjacencyTriplet> loadTriplets(
+    const std::filesystem::path& path,
+    unsigned workers = std::thread::hardware_concurrency());
 
 /// Loads into an accumulator (e.g. to sum stored partial matrices).
 SymmetricAdjacency loadAdjacency(const std::filesystem::path& path);

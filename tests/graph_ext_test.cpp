@@ -5,6 +5,7 @@
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <thread>
 
 #include "chisimnet/graph/algorithms.hpp"
 #include "chisimnet/graph/generators.hpp"
@@ -313,11 +314,13 @@ void forgeCount(const std::filesystem::path& path, std::uint64_t count) {
   }
 }
 
-/// Loads `path` expecting a CadjError at `offset` naming the file.
+/// Loads `path` on `workers` threads expecting a CadjError at `offset`
+/// naming the file.
 void expectCadjError(const std::filesystem::path& path, std::uint64_t offset,
-                     const std::string& reasonPart) {
+                     const std::string& reasonPart,
+                     unsigned workers = std::thread::hardware_concurrency()) {
   try {
-    sparse::loadTriplets(path);
+    sparse::loadTriplets(path, workers);
     FAIL() << "load should have been rejected";
   } catch (const sparse::CadjError& error) {
     EXPECT_EQ(error.file(), path);
@@ -383,6 +386,98 @@ TEST_F(AdjacencyIoTest, MultiChunkPayloadRoundTrips) {
   sparse::saveAdjacency(adjacency, path);
   EXPECT_EQ(sparse::loadTriplets(path), adjacency.toTriplets());
 }
+
+// ---- the chunk-parallel decoder under hostile input -------------------------
+
+constexpr std::uint64_t kChunkRows = 64 * 1024;  // one 1 MiB decode chunk
+constexpr std::uint64_t kChunkBytes = kChunkRows * 16;
+
+/// Three whole decode chunks and a partial fourth, at each worker count.
+class ParallelCadjDecode : public ::testing::TestWithParam<unsigned> {
+ protected:
+  static constexpr std::uint64_t kRows = 3 * kChunkRows + 1234;
+
+  void SetUp() override {
+    // One directory per case (ctest runs them as concurrent processes);
+    // the case name's '/' would nest it.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = std::filesystem::temp_directory_path() /
+           ("chisimnet_cadj_decode_" + name);
+    std::filesystem::create_directories(dir_);
+    for (std::uint64_t k = 0; k < kRows; ++k) {
+      const auto i = static_cast<std::uint32_t>(k / 64);
+      const auto j = static_cast<std::uint32_t>(i + 1 + k % 64);
+      triplets_.push_back({i, j, (k * 2654435761u) ^ (k << 37)});
+    }
+    path_ = dir_ / "net.cadj";
+    sparse::saveTriplets(triplets_, path_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  void flipBit(std::uint64_t offset) {
+    std::fstream stream(path_, std::ios::binary | std::ios::in | std::ios::out);
+    stream.seekg(static_cast<std::streamoff>(offset));
+    const char byte = static_cast<char>(stream.get() ^ 0x04);
+    stream.seekp(static_cast<std::streamoff>(offset));
+    stream.put(byte);
+  }
+
+  std::uint64_t footerOffset() const { return 16 + 16 * kRows; }
+
+  std::filesystem::path dir_;
+  std::filesystem::path path_;
+  std::vector<sparse::AdjacencyTriplet> triplets_;
+};
+
+TEST_P(ParallelCadjDecode, RoundTripsAtEveryWorkerCount) {
+  EXPECT_EQ(sparse::loadTriplets(path_, GetParam()), triplets_);
+}
+
+TEST_P(ParallelCadjDecode, BitFlipInTheFirstChunk) {
+  flipBit(16 + 100);
+  expectCadjError(path_, footerOffset(), "CRC mismatch", GetParam());
+}
+
+TEST_P(ParallelCadjDecode, BitFlipInAMiddleChunk) {
+  flipBit(16 + 2 * kChunkBytes - 5);
+  expectCadjError(path_, footerOffset(), "CRC mismatch", GetParam());
+  flipBit(16 + 2 * kChunkBytes - 5);  // undone: the file loads again
+  EXPECT_EQ(sparse::loadTriplets(path_, GetParam()).size(), kRows);
+  flipBit(16 + 2 * kChunkBytes + 7);  // the third chunk's first row
+  expectCadjError(path_, footerOffset(), "CRC mismatch", GetParam());
+}
+
+TEST_P(ParallelCadjDecode, ForgedHeaderCount) {
+  forgeCount(path_, kRows + 1);
+  expectCadjError(path_, 8, "header count", GetParam());
+  forgeCount(path_, kChunkRows);
+  expectCadjError(path_, 8, "header count", GetParam());
+  forgeCount(path_, std::uint64_t{1} << 60);
+  expectCadjError(path_, 8, "header count", GetParam());
+}
+
+TEST_P(ParallelCadjDecode, TruncatedAtAChunkBoundary) {
+  std::filesystem::resize_file(path_, 16 + 2 * kChunkBytes);
+  expectCadjError(path_, 8, "header count", GetParam());
+  // With the count forged to fit, the footer is read from row data.
+  std::filesystem::resize_file(path_, 16 + 2 * kChunkBytes + 4);
+  forgeCount(path_, 2 * kChunkRows);
+  expectCadjError(path_, 16 + 2 * kChunkBytes, "CRC mismatch", GetParam());
+}
+
+TEST_P(ParallelCadjDecode, TruncatedInsideAChunk) {
+  std::filesystem::resize_file(path_, 16 + 2 * kChunkBytes + 1000);
+  expectCadjError(path_, 8, "header count", GetParam());
+  std::filesystem::resize_file(path_, 16 + kChunkBytes + 16 * 999 + 4);
+  forgeCount(path_, kChunkRows + 999);
+  expectCadjError(path_, 16 + kChunkBytes + 16 * 999, "CRC mismatch",
+                  GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, ParallelCadjDecode,
+                         ::testing::Values(1u, 2u, 3u, 4u, 7u));
 
 TEST_F(AdjacencyIoTest, SummingStoredPartials) {
   // The paper's batch workflow: store per-batch adjacencies, sum later.

@@ -301,6 +301,38 @@ TEST(Crc32, SeededChainingAcrossSplitsEqualsWhole) {
   }
 }
 
+TEST(Crc32, CombineEqualsTheCrcOfTheConcatenation) {
+  const std::vector<std::byte> data = randomBytes((1u << 20) + 64, 7);
+  const std::span<const std::byte> all(data);
+  const auto expectCombines = [](std::span<const std::byte> a,
+                                 std::span<const std::byte> b) {
+    std::vector<std::byte> joined(a.begin(), a.end());
+    joined.insert(joined.end(), b.begin(), b.end());
+    ASSERT_EQ(crc32Combine(crc32(a), crc32(b), b.size()), crc32(joined))
+        << a.size() << " + " << b.size() << " bytes";
+  };
+  for (std::size_t lengthB : {0u, 1u, 7u, 1u << 20}) {
+    for (std::size_t lengthA : {0u, 1u, 7u, 64u}) {
+      expectCombines(all.subspan(0, lengthA), all.subspan(lengthA, lengthB));
+    }
+  }
+  Rng rng(8);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t length = rng.uniformBelow(4096) + 1;
+    const std::size_t split = rng.uniformBelow(length + 1);
+    const std::span<const std::byte> part = all.subspan(trial, length);
+    expectCombines(part.first(split), part.subspan(split));
+  }
+  // Chunk CRCs folded left to right give the CRC of the whole.
+  std::uint32_t folded = 0;
+  for (std::size_t at = 0; at < all.size(); at += 300000) {
+    const auto chunk =
+        all.subspan(at, std::min<std::size_t>(300000, all.size() - at));
+    folded = crc32Combine(folded, crc32(chunk), chunk.size());
+  }
+  EXPECT_EQ(folded, crc32(all));
+}
+
 TEST(BinaryIo, U32RoundTrip) {
   std::stringstream stream;
   writeU32(stream, 0xDEADBEEFu);

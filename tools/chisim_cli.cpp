@@ -423,8 +423,13 @@ int cmdSynthesize(const Args& args) {
 }
 
 int cmdAnalyze(const Args& args) {
-  const auto triplets = sparse::loadTriplets(args.requireStr("net"));
-  const graph::Graph network = graph::Graph::fromTriplets(triplets);
+  // --workers spreads the CADJ decode, the graph build, the clustering
+  // kernel and Louvain's modularity and aggregation; the printed output is
+  // the same for every value.
+  const auto workers = static_cast<unsigned>(
+      args.u64("workers", std::thread::hardware_concurrency()));
+  const auto triplets = sparse::loadTriplets(args.requireStr("net"), workers);
+  const graph::Graph network = graph::Graph::fromTriplets(triplets, workers);
   std::cout << "network: " << network.vertexCount() << " vertices, "
             << network.edgeCount() << " edges, mean degree "
             << graph::meanDegree(network) << ", total weight "
@@ -445,10 +450,6 @@ int cmdAnalyze(const Args& args) {
   std::cout << "components: " << components.count() << ", giant "
             << components.giantSize() << " vertices\n";
 
-  // --workers spreads the clustering kernel and Louvain's modularity and
-  // aggregation; the printed output is the same for every value.
-  const auto workers = static_cast<unsigned>(
-      args.u64("workers", std::thread::hardware_concurrency()));
   if (args.has("clustering")) {
     const auto coefficients =
         graph::localClusteringCoefficients(network, workers);
