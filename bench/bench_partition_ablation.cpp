@@ -7,9 +7,12 @@
 /// from a single individual to tens of thousands of individuals."
 ///
 /// This bench runs the adjacency stage with (a) greedy-LPT-by-nnz (the
-/// paper's scheme), (b) contiguous equal-count lists, and (c) round-robin,
-/// and reports weight imbalance, observed worker busy-time imbalance, and
-/// stage wall time.
+/// paper's scheme), (b) contiguous equal-count lists, (c) round-robin,
+/// (d) greedy-LPT by the occupancy weight, and (e) dynamic heaviest-first
+/// pulling (the shared backend's schedule), and reports weight imbalance,
+/// observed worker busy-time imbalance, and stage wall time.
+
+#include <functional>
 
 #include "bench_common.hpp"
 
@@ -60,24 +63,18 @@ int main() {
   };
   std::vector<Result> results;
 
-  for (const auto& [name, partition] :
-       std::vector<std::pair<std::string, runtime::Partition>>{
-           {"lpt-by-nnz (paper)", runtime::partitionGreedyLpt(weights, workers)},
-           {"contiguous (naive)", runtime::partitionContiguous(weights, workers)},
-           {"round-robin (naive)", runtime::partitionRoundRobin(weights, workers)},
-           {"lpt-by-occupancy", runtime::partitionGreedyLpt(occupancyWeights, workers)},
-       }) {
+  // Runs the adjacency stage once through `apply` (a static partition or
+  // the dynamic pull) and records its weight and busy imbalance.
+  const auto measure = [&](const std::string& name,
+                           const std::function<double(
+                               runtime::Cluster&,
+                               std::vector<sparse::SymmetricAdjacency>&)>&
+                               apply) {
     runtime::Cluster cluster(workers);
-    std::vector<sparse::SymmetricAdjacency> sums;
-    for (unsigned w = 0; w < workers; ++w) {
-      sums.emplace_back();
-    }
-    cluster.applyPartitioned(partition, [&](std::size_t item, unsigned worker) {
-      sums[worker].addCollocation(matrices[item]);
-    });
+    std::vector<sparse::SymmetricAdjacency> sums(workers);
     Result result;
     result.name = name;
-    result.weightImbalance = partition.imbalance();
+    result.weightImbalance = apply(cluster, sums);
     result.busyImbalance = cluster.busyImbalance();
     result.wallSeconds = cluster.lastWallSeconds();
     for (double busy : cluster.workerBusySeconds()) {
@@ -89,22 +86,57 @@ int main() {
               << fmt(result.busyImbalance, 2) << ", makespan(busy) "
               << fmt(result.busyMax, 2) << " s, wall " << fmt(result.wallSeconds, 2)
               << " s\n";
-  }
+  };
 
-  std::cout << "\n(single-core host: wall time reflects total work; the "
-               "idle-worker effect shows in weight/busy imbalance — on a real "
-               "cluster stage wall time tracks the max-loaded worker)\n\n";
+  for (const auto& [name, partition] :
+       std::vector<std::pair<std::string, runtime::Partition>>{
+           {"lpt-by-nnz (paper)", runtime::partitionGreedyLpt(weights, workers)},
+           {"contiguous (naive)", runtime::partitionContiguous(weights, workers)},
+           {"round-robin (naive)", runtime::partitionRoundRobin(weights, workers)},
+           {"lpt-by-occupancy", runtime::partitionGreedyLpt(occupancyWeights, workers)},
+       }) {
+    measure(name, [&](runtime::Cluster& cluster,
+                      std::vector<sparse::SymmetricAdjacency>& sums) {
+      cluster.applyPartitioned(partition, [&](std::size_t item, unsigned worker) {
+        sums[worker].addCollocation(matrices[item]);
+      });
+      return partition.imbalance();
+    });
+  }
+  // The shared backend's stage-5 schedule: workers pull places heaviest
+  // first by the default (occupancy) weight. Its weight imbalance is that
+  // of the weight each worker happened to pull.
+  measure("dynamic heaviest-first (shared)",
+          [&](runtime::Cluster& cluster,
+              std::vector<sparse::SymmetricAdjacency>& sums) {
+            const std::vector<std::size_t> order =
+                runtime::heaviestFirst(occupancyWeights);
+            runtime::Partition pulled;
+            pulled.loads.assign(workers, 0);
+            cluster.applyDynamic(order.size(), [&](std::size_t pull,
+                                                   unsigned worker) {
+              sums[worker].addCollocation(matrices[order[pull]]);
+              pulled.loads[worker] += occupancyWeights[order[pull]];
+            });
+            return pulled.imbalance();
+          });
+
+  std::cout << "\n(weight imbalance is the partition's modeled makespan; "
+               "busy imbalance is measured per worker thread — on a host with "
+               "at least as many cores as workers, stage wall time tracks the "
+               "busiest worker)\n\n";
 
   const Result& lpt = results[0];
   const Result& contiguous = results[1];
   const Result& occupancy = results[3];
+  const Result& dynamic = results[4];
   printRow("LPT weight imbalance", "~1.0 (even)", fmt(lpt.weightImbalance, 2));
   printRow("naive weight imbalance", ">> 1 (idle workers)",
            fmt(contiguous.weightImbalance, 2));
-  printRow("occupancy-LPT busy imbalance",
-           "vs nnz-LPT " + fmt(lpt.busyImbalance, 2),
-           fmt(occupancy.busyImbalance, 2),
-           "decides whether --occupancy-weight should become the default");
+  printRow("dynamic busy imbalance",
+           "vs occupancy-LPT " + fmt(occupancy.busyImbalance, 2),
+           fmt(dynamic.busyImbalance, 2),
+           "measured; the shared backend's stage-5 schedule");
   const bool crucial =
       contiguous.weightImbalance > 1.5 * lpt.weightImbalance;
   std::cout << "\nshape check: balancing step materially evens the load: "

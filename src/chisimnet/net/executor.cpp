@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -10,13 +11,6 @@
 #include "chisimnet/util/timer.hpp"
 
 namespace chisimnet::net {
-
-runtime::Partition SynthesisExecutor::repartition(
-    std::span<const std::uint64_t> weights) const {
-  return config_.balancedPartition
-             ? runtime::partitionGreedyLpt(weights, config_.workers)
-             : runtime::partitionContiguous(weights, config_.workers);
-}
 
 SharedMemoryExecutor::SharedMemoryExecutor(const SynthesisConfig& config)
     : SynthesisExecutor(config), cluster_(config.workers) {}
@@ -47,9 +41,13 @@ std::vector<sparse::CollocationMatrix> SharedMemoryExecutor::mapCollocation() {
   return matrices;
 }
 
-void SharedMemoryExecutor::mapAdjacency(
+AdjacencySchedule SharedMemoryExecutor::mapAdjacency(
     const std::vector<sparse::CollocationMatrix>& matrices,
-    const runtime::Partition& partition) {
+    std::span<const std::uint64_t> weights) {
+  CHISIM_REQUIRE(weights.size() == matrices.size(),
+                 "stage 5 needs one weight per matrix");
+  spillSums_.clear();
+  workerSums_.clear();
   if (config_.memoryBudgetBytes > 0) {
     // Budgeted stage 5: each worker sums into a flushing SpillingSum whose
     // threshold is an eighth of its budget share — the sink keeps the other
@@ -66,7 +64,6 @@ void SharedMemoryExecutor::mapAdjacency(
     const std::uint32_t splitRows = resolvedReduceShards(config_) > 1
                                         ? resolvedMergeRowsPerShard(config_)
                                         : 0;
-    spillSums_.clear();
     for (unsigned w = 0; w < config_.workers; ++w) {
       spillSums_.push_back(std::make_unique<sparse::SpillingSum>(
           config_.spillDir,
@@ -75,16 +72,34 @@ void SharedMemoryExecutor::mapAdjacency(
           threshold, splitRows));
     }
     ++batchCounter_;
-    cluster_.applyPartitioned(
-        partition, [&](std::size_t item, unsigned worker) {
-          spillSums_[worker]->addCollocation(matrices[item], config_.method);
-        });
-    return;
+  } else {
+    workerSums_.assign(config_.workers, sparse::SymmetricAdjacency());
   }
-  workerSums_.assign(config_.workers, sparse::SymmetricAdjacency());
-  cluster_.applyPartitioned(partition, [&](std::size_t item, unsigned worker) {
-    workerSums_[worker].addCollocation(matrices[item], config_.method);
+
+  // Workers pull places heaviest first (in place order without balance).
+  // No static weight predicts a place's cost well, since most of it is
+  // global emits into the worker's map; pulling lets the heaviest places
+  // start at once and the light tail even out the finish.
+  std::vector<std::size_t> order;
+  if (config_.balancedPartition) {
+    order = runtime::heaviestFirst(weights);
+  } else {
+    order.resize(matrices.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+  }
+  AdjacencySchedule schedule;
+  schedule.loads.assign(config_.workers, 0);
+  cluster_.applyDynamic(order.size(), [&](std::size_t pull, unsigned worker) {
+    const std::size_t item = order[pull];
+    if (spillSums_.empty()) {
+      workerSums_[worker].addCollocation(matrices[item], config_.method);
+    } else {
+      spillSums_[worker]->addCollocation(matrices[item], config_.method);
+    }
+    schedule.loads[worker] += weights[item];
   });
+  schedule.imbalance = cluster_.busyImbalance();
+  return schedule;
 }
 
 void SharedMemoryExecutor::reduce(sparse::SymmetricAdjacency& result) {

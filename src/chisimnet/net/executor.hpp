@@ -32,8 +32,8 @@
 ///   scatterPlaces   stage 2 tail: hand the place-grouped slice to workers
 ///   mapCollocation  stage 3: per-place collocation matrices, returned to
 ///                   the driver (the paper's "returned to the root")
-///   repartition     stage 4: weight-based partition of the matrix list
-///   mapAdjacency    stage 5: per-worker adjacency sums A_l = x·xᵀ
+///   mapAdjacency    stage 5: per-worker adjacency sums A_l = x·xᵀ,
+///                   scheduled by the driver's stage-4 weights
 ///   reduce          stage 6: fold the worker sums into the running result
 ///
 /// Lifetimes: the events/index passed to scatterPlaces must stay alive
@@ -59,6 +59,17 @@ struct ReduceStats {
   double criticalSeconds = 0.0;
 };
 
+/// How the last stage 5 spread its matrices over the workers.
+struct AdjacencySchedule {
+  /// Summed stage-4 weight each worker pulled (shared memory) or each live
+  /// rank was assigned (message passing).
+  std::vector<std::uint64_t> loads;
+  /// Shared memory: the measured busy imbalance (max / mean worker busy
+  /// seconds) of the dynamic pull. Message passing: the static partition's
+  /// modeled weight imbalance (makespan / mean load).
+  double imbalance = 1.0;
+};
+
 class SynthesisExecutor {
  public:
   explicit SynthesisExecutor(const SynthesisConfig& config)
@@ -80,19 +91,17 @@ class SynthesisExecutor {
   /// return the non-empty ones to the driver.
   virtual std::vector<sparse::CollocationMatrix> mapCollocation() = 0;
 
-  /// Stage 4: partition matrices (by the driver-computed weights) across
-  /// workers. Identical for both substrates — the partition is computed
-  /// where the matrix list lives (the root).
-  virtual runtime::Partition repartition(
-      std::span<const std::uint64_t> weights) const;
-
-  /// Stage 5: compute per-worker adjacency sums for the partition. The
-  /// sums stay inside the executor — in-memory at the root (shared) or as
+  /// Stage 5: compute per-worker adjacency sums, scheduled by the
+  /// driver's stage-4 `weights` (one per matrix). Shared memory pulls the
+  /// matrices dynamically, heaviest first; message passing ships a static
+  /// LPT partition to the live ranks up front. With
+  /// config.balancedPartition off, both fall back to place order. The sums
+  /// stay inside the executor — in-memory at the root (shared) or as
   /// sorted triplet runs returned by the ranks (message passing) — until
   /// the following reduce() folds them.
-  virtual void mapAdjacency(
+  virtual AdjacencySchedule mapAdjacency(
       const std::vector<sparse::CollocationMatrix>& matrices,
-      const runtime::Partition& partition) = 0;
+      std::span<const std::uint64_t> weights) = 0;
 
   /// Stage 6: fold the worker sums held since mapAdjacency into `result`
   /// (a parallel per-shard fold on shared memory, the rank-pair merge tree
@@ -147,8 +156,9 @@ class SynthesisExecutor {
 };
 
 /// Worker threads over shared memory — the paper's SNOW fork cluster.
-/// Collocation work is pulled dynamically (SNOW's own load balancing);
-/// the adjacency stage follows the explicit nnz partition. No bytes move.
+/// Both map stages pull work dynamically (SNOW's own load balancing); the
+/// adjacency stage pulls heaviest first, so the heaviest places start at
+/// once and the light tail fills the gaps. No bytes move.
 class SharedMemoryExecutor final : public SynthesisExecutor {
  public:
   explicit SharedMemoryExecutor(const SynthesisConfig& config);
@@ -159,8 +169,12 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
   void scatterPlaces(const table::EventTable& events,
                      const table::PlaceIndex& index) override;
   std::vector<sparse::CollocationMatrix> mapCollocation() override;
-  void mapAdjacency(const std::vector<sparse::CollocationMatrix>& matrices,
-                    const runtime::Partition& partition) override;
+  /// One schedule for the in-memory and the budgeted accumulators: every
+  /// sum is an integer and the export is sorted, so which worker summed a
+  /// place never shows in the output.
+  AdjacencySchedule mapAdjacency(
+      const std::vector<sparse::CollocationMatrix>& matrices,
+      std::span<const std::uint64_t> weights) override;
   /// Folds the worker sums shard by shard on the worker threads
   /// (SymmetricAdjacency::absorb), freeing each worker shard once folded.
   void reduce(sparse::SymmetricAdjacency& result) override;
@@ -234,12 +248,12 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   void scatterPlaces(const table::EventTable& events,
                      const table::PlaceIndex& index) override;
   std::vector<sparse::CollocationMatrix> mapCollocation() override;
-  /// Partitions across the live ranks only, so a batch after a rank loss
-  /// spreads stage-5 work over exactly the ranks that can still take it.
-  runtime::Partition repartition(
-      std::span<const std::uint64_t> weights) const override;
-  void mapAdjacency(const std::vector<sparse::CollocationMatrix>& matrices,
-                    const runtime::Partition& partition) override;
+  /// Partitions across the live ranks only (LPT, or contiguous without
+  /// balance), so a batch after a rank loss spreads stage-5 work over
+  /// exactly the ranks that can still take it.
+  AdjacencySchedule mapAdjacency(
+      const std::vector<sparse::CollocationMatrix>& matrices,
+      std::span<const std::uint64_t> weights) override;
   /// Rank-pair merge tree over the sorted triplet runs the adjacency stage
   /// returned: each level pairs up runs, ships the pairs to the live ranks
   /// (rank 0 inline), and two-pointer-merges them — no hash rebuild. The

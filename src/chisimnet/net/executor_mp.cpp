@@ -447,8 +447,8 @@ void MessagePassingExecutor::scatterPlaces(const table::EventTable& events,
   events_ = &events;
   index_ = &index;
   // Round-robin place groups across the live ranks: the collocation stage
-  // is roughly uniform per event row, and the nnz balancing happens at
-  // repartition.
+  // is roughly uniform per event row, and the weight balancing happens
+  // in the stage-5 partition.
   const std::vector<int> live = liveRanks();
   std::vector<std::vector<std::size_t>> groups(live.size());
   for (std::size_t group = 0; group < index.placeIds.size(); ++group) {
@@ -530,20 +530,17 @@ MessagePassingExecutor::mapCollocation() {
   }
 }
 
-runtime::Partition MessagePassingExecutor::repartition(
-    std::span<const std::uint64_t> weights) const {
-  const std::size_t bins = static_cast<std::size_t>(team_->liveCount());
-  return config_.balancedPartition
-             ? runtime::partitionGreedyLpt(weights, bins)
-             : runtime::partitionContiguous(weights, bins);
-}
-
-void MessagePassingExecutor::mapAdjacency(
+AdjacencySchedule MessagePassingExecutor::mapAdjacency(
     const std::vector<sparse::CollocationMatrix>& matrices,
-    const runtime::Partition& partition) {
+    std::span<const std::uint64_t> weights) {
+  CHISIM_REQUIRE(weights.size() == matrices.size(),
+                 "stage 5 needs one weight per matrix");
   const std::vector<int> live = liveRanks();
-  CHISIM_REQUIRE(partition.assignment.size() == live.size(),
-                 "partition bin count must equal live rank count");
+  // Matrices are shipped to the ranks up front, so the partition is static.
+  const runtime::Partition partition =
+      config_.balancedPartition
+          ? runtime::partitionGreedyLpt(weights, live.size())
+          : runtime::partitionContiguous(weights, live.size());
   // A fresh token per built body keeps each body's worker-side spill files
   // unique: retries resend the same body (same token, deterministic
   // rewrite); reassignments build a new body and never collide with files
@@ -613,6 +610,7 @@ void MessagePassingExecutor::mapAdjacency(
     team_->rethrowServiceError();
     throw;
   }
+  return AdjacencySchedule{partition.loads, partition.imbalance()};
 }
 
 void MessagePassingExecutor::mergeRunsLevel() {

@@ -195,26 +195,28 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
     report_.collocationNnz += matrix.nnz();
   }
 
-  // Stage 4: re-partition the matrix list across workers by adjacency-cost
-  // weight (nnz, or occupancy-scaled behind config.occupancyWeight) — the
-  // step §IV.A.3 calls crucial for even load balance.
+  // Stage 4: weigh every matrix by its adjacency cost (nnz, or
+  // occupancy-scaled behind config.occupancyWeight) — the weights behind
+  // the re-partition §IV.A.3 calls crucial for even load balance. Stage 5
+  // schedules by them: heaviest-first pulling on shared memory, a static
+  // LPT rank partition on message passing.
   runtime::fault::hit("driver.partition");
   std::vector<std::uint64_t> weights;
   weights.reserve(matrices.size());
   for (const sparse::CollocationMatrix& matrix : matrices) {
     weights.push_back(partitionWeight(matrix));
   }
-  const runtime::Partition partition = executor_->repartition(weights);
   report_.partitionSeconds += timer.seconds();
-  report_.partitionImbalance = partition.imbalance();
-  report_.partitionLoads = partition.loads;
   timer.reset();
 
   // Stage 5: per-worker adjacency accumulation (no shared state); the
   // sums stay inside the executor until the reduce.
   runtime::fault::hit("driver.adjacency");
-  executor_->mapAdjacency(matrices, partition);
+  const AdjacencySchedule schedule =
+      executor_->mapAdjacency(matrices, weights);
   report_.adjacencySeconds += timer.seconds();
+  report_.partitionImbalance = schedule.imbalance;
+  report_.partitionLoads = schedule.loads;
   report_.adjacencyBusyImbalance = executor_->adjacencyBusyImbalance();
   timer.reset();
 

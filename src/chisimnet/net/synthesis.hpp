@@ -24,9 +24,11 @@
 ///   2. the time slice is subset, unique place ids extracted, and place
 ///      groups handed to the executor's workers,
 ///   3. workers build one sparse p×t collocation matrix per place,
-///   4. the matrix list is re-partitioned by nonzero count (LPT) for even
-///      load balance — the step §IV.A.3 calls crucial,
-///   5. workers compute per-place adjacencies A_l = x·xᵀ and sum their set,
+///   4. each matrix is weighed by its adjacency cost, the weights behind
+///      the re-partition §IV.A.3 calls crucial for even load balance,
+///   5. workers compute per-place adjacencies A_l = x·xᵀ and sum their set
+///      — pulling places heaviest first on shared memory, following a
+///      static LPT partition of the list on message passing,
 ///   6. worker sums are reduced into a single sparse upper-triangular
 ///      adjacency, and batches are summed into the final network.
 ///
@@ -150,13 +152,15 @@ struct SynthesisConfig {
   /// pair; kSpGemm is the paper-faithful per-pair-hour global insert. All
   /// methods produce bit-identical adjacencies.
   sparse::AdjacencyMethod method = sparse::AdjacencyMethod::kLocalAccumulate;
-  /// true: nnz-based LPT re-partitioning (the paper's scheme);
-  /// false: contiguous equal-count lists (the naive ablation baseline).
+  /// true: stage 5 is balanced by the stage-4 weights — shared memory
+  /// pulls places heaviest first, message passing partitions them across
+  /// ranks by LPT (the paper's scheme). false: the naive ablation baseline
+  /// — place-order pulling, or contiguous equal-count rank lists.
   bool balancedPartition = true;
   /// true (default): weigh each matrix by nnz times its mean simultaneous
   /// occupancy (nnz² / occupied hours) instead of plain nnz, so hub places
   /// — whose x·xᵀ cost grows faster than their person-hours — are
-  /// partitioned by a closer proxy of adjacency cost. Defaulted on after
+  /// scheduled by a closer proxy of adjacency cost. Defaulted on after
   /// bench_partition_ablation showed consistently lower busy imbalance and
   /// makespan on skewed populations (EXPERIMENTS.md); false restores the
   /// paper's plain-nnz §IV.A.3 scheme.
@@ -326,15 +330,23 @@ struct SynthesisReport {
   std::uint64_t prefetchPeakOccupancy = 0;
   double subsetSeconds = 0.0;     ///< stage 2: slice + place index + scatter
   double collocationSeconds = 0.0;///< stage 3: collocation matrices
-  double partitionSeconds = 0.0;  ///< stage 4: weight partitioning
+  double partitionSeconds = 0.0;  ///< stage 4: adjacency-cost weights
   double adjacencySeconds = 0.0;  ///< stage 5: x·xᵀ products
   double reduceSeconds = 0.0;     ///< stage 6: worker-sum reduction
   double totalSeconds = 0.0;
 
-  /// Weight imbalance (makespan / mean) of the adjacency-stage partition.
+  /// Stage-5 imbalance of the last batch. Shared memory: the measured
+  /// busy imbalance (max / mean worker busy seconds) of its dynamic pull,
+  /// since there is no static partition to model. Message passing: the
+  /// modeled weight imbalance (makespan / mean load) of its static rank
+  /// partition.
   double partitionImbalance = 1.0;
-  /// Observed busy-time imbalance of the adjacency stage workers.
+  /// Observed busy-time imbalance of the adjacency stage workers (on
+  /// shared memory the same figure as partitionImbalance).
   double adjacencyBusyImbalance = 1.0;
+  /// Summed stage-4 weight per worker in the last batch: what each worker
+  /// pulled (shared memory) or each live rank was assigned (message
+  /// passing).
   std::vector<std::uint64_t> partitionLoads;
 
   /// Payload bytes the root shipped to workers (event groups + matrix

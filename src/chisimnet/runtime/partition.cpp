@@ -45,16 +45,20 @@ Partition emptyPartition(std::size_t bins) {
 
 }  // namespace
 
-Partition partitionGreedyLpt(std::span<const std::uint64_t> weights,
-                             std::size_t bins) {
-  CHISIM_REQUIRE(bins > 0, "need at least one bin");
-  Partition partition = emptyPartition(bins);
-
+std::vector<std::size_t> heaviestFirst(
+    std::span<const std::uint64_t> weights) {
   std::vector<std::size_t> order(weights.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&weights](auto a, auto b) {
     return weights[a] > weights[b];
   });
+  return order;
+}
+
+Partition partitionGreedyLpt(std::span<const std::uint64_t> weights,
+                             std::size_t bins) {
+  CHISIM_REQUIRE(bins > 0, "need at least one bin");
+  Partition partition = emptyPartition(bins);
 
   // Min-heap of (load, bin).
   using Entry = std::pair<std::uint64_t, std::size_t>;
@@ -62,7 +66,7 @@ Partition partitionGreedyLpt(std::span<const std::uint64_t> weights,
   for (std::size_t bin = 0; bin < bins; ++bin) {
     heap.emplace(0, bin);
   }
-  for (std::size_t item : order) {
+  for (std::size_t item : heaviestFirst(weights)) {
     auto [load, bin] = heap.top();
     heap.pop();
     partition.assignment[bin].push_back(item);

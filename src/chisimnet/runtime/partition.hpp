@@ -29,6 +29,10 @@ struct Partition {
   std::uint64_t totalLoad() const noexcept;
 };
 
+/// Item indices by descending weight, ties in ascending index order: the
+/// order LPT assigns items in, and the order dynamic pulling hands them out.
+std::vector<std::size_t> heaviestFirst(std::span<const std::uint64_t> weights);
+
 /// Greedy LPT: sort items by descending weight, always assign to the
 /// currently lightest bin. Guarantees makespan <= (4/3 - 1/(3m)) * OPT.
 Partition partitionGreedyLpt(std::span<const std::uint64_t> weights,

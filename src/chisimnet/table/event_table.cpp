@@ -155,6 +155,16 @@ EventTable EventTable::filter(
 
 namespace {
 
+/// A dense place-id table costs one 8-byte cursor per id up to the largest
+/// one. It is used only when that range is within this many entries per
+/// row (the bound `graph::Graph` applies to its label table), so a forged
+/// id near UINT32_MAX cannot size it.
+constexpr std::uint64_t kDenseIdsPerRow = 4;
+
+bool denseIdsFit(PlaceId maxPlace, std::uint64_t rows) {
+  return maxPlace < kDenseIdsPerRow * rows;
+}
+
 template <typename T>
 std::vector<T> sortedUnique(std::vector<T> values) {
   std::sort(values.begin(), values.end());
@@ -174,10 +184,38 @@ std::vector<PersonId> EventTable::uniquePersons() const {
 
 PlaceIndex EventTable::buildPlaceIndex() const {
   PlaceIndex index;
+  const PlaceId maxPlace =
+      place_.empty() ? 0 : *std::max_element(place_.begin(), place_.end());
+  if (!place_.empty() && denseIdsFit(maxPlace, size())) {
+    // Counting sort over a dense id table: one pass counts rows per id,
+    // the prefix sum turns counts into group offsets, a second pass
+    // places every row in ascending row order.
+    std::vector<std::uint64_t> cursor(std::uint64_t{maxPlace} + 1, 0);
+    for (const PlaceId place : place_) {
+      ++cursor[place];
+    }
+    index.offsets.push_back(0);
+    std::uint64_t offset = 0;
+    for (std::uint64_t place = 0; place < cursor.size(); ++place) {
+      const std::uint64_t count = cursor[place];
+      cursor[place] = offset;
+      if (count != 0) {
+        offset += count;
+        index.placeIds.push_back(static_cast<PlaceId>(place));
+        index.offsets.push_back(offset);
+      }
+    }
+    index.rows.resize(size());
+    for (std::uint64_t i = 0; i < size(); ++i) {
+      index.rows[cursor[place_[i]]++] = i;
+    }
+    return index;
+  }
+
+  // Sparse ids: the table would be sized by the largest id, not by the
+  // rows, so group through the sorted unique ids instead.
   index.placeIds = uniquePlaces();
   index.offsets.assign(index.placeIds.size() + 1, 0);
-
-  // Counting sort of row indices into place groups.
   for (PlaceId place : place_) {
     const std::size_t group = index.find(place);
     ++index.offsets[group + 1];

@@ -87,7 +87,10 @@ class EventTable {
   /// Sorted unique person ids over the whole table.
   std::vector<PersonId> uniquePersons() const;
 
-  /// Groups all rows by place id.
+  /// Groups all rows by place id, rows ascending within each group. A
+  /// counting sort over a dense id table when the largest id is below 4
+  /// entries per row; otherwise a binary search over the sorted unique
+  /// ids, so memory stays proportional to the rows present.
   PlaceIndex buildPlaceIndex() const;
 
   /// Largest end time in the table (0 when empty).

@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -491,6 +493,108 @@ TEST(SynthesisBatching, CorruptFileSurfacesAsException) {
     NetworkSynthesizer synthesizer(config);
     EXPECT_THROW(synthesizer.synthesizeAdjacency(files), std::exception)
         << (prefetch ? "prefetch" : "serial");
+  }
+}
+
+std::string readBytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Stage 5 with one hub place whose person-hours exceed all the other
+/// places combined: whichever worker pulls (shared memory) or is assigned
+/// (message passing) the hub, every schedule must sum to the brute force
+/// and save the same CADJ bytes.
+TEST(SynthesisHubPlace, EveryScheduleMatchesBruteForce) {
+  util::Rng rng(4242);
+  table::EventTable events;
+  std::uint64_t hubHours = 0;
+  std::uint64_t otherHours = 0;
+  for (table::PersonId person = 0; person < 40; ++person) {
+    const auto start = static_cast<Hour>(rng.uniformBelow(12));
+    const Hour end = start + 20 + static_cast<Hour>(rng.uniformBelow(20));
+    events.append(Event{start, end, person, 0, 0});
+    hubHours += end - start;
+  }
+  for (table::PlaceId place = 1; place <= 30; ++place) {
+    for (int visit = 0; visit < 3; ++visit) {
+      const auto start = static_cast<Hour>(rng.uniformBelow(60));
+      const Hour end = start + 1 + static_cast<Hour>(rng.uniformBelow(4));
+      events.append(Event{
+          start, end, static_cast<table::PersonId>(rng.uniformBelow(60)), 1,
+          place});
+      otherHours += end - start;
+    }
+  }
+  ASSERT_GT(hubHours, otherHours);
+
+  ScratchDir scratch("chisimnet_hub_place");
+  const auto files = writePlacePartitionedFiles(events, scratch.path(), 3);
+  const auto reference = bruteForceAdjacency(events, 0, 72);
+  const std::filesystem::path referenceFile = scratch.path() / "ref.cadj";
+  sparse::saveAdjacency(reference, referenceFile);
+  const std::string referenceBytes = readBytes(referenceFile);
+
+  struct Substrate {
+    SynthesisBackend backend;
+    std::uint64_t budget;
+  };
+  std::optional<std::uint64_t> totalLoad;
+  for (const Substrate substrate :
+       {Substrate{SynthesisBackend::kSharedMemory, 0},
+        Substrate{SynthesisBackend::kSharedMemory, 4096},
+        Substrate{SynthesisBackend::kMessagePassing, 0},
+        Substrate{SynthesisBackend::kMessagePassing, 4096}}) {
+    for (const unsigned workers : {1u, 2u, 3u, 4u, 7u}) {
+      for (const bool balanced : {true, false}) {
+        SynthesisConfig config;
+        config.windowEnd = 72;
+        config.backend = substrate.backend;
+        config.memoryBudgetBytes = substrate.budget;
+        config.workers = workers;
+        config.balancedPartition = balanced;
+        const std::string label =
+            std::string(backendName(substrate.backend)) + " budget " +
+            std::to_string(substrate.budget) + " workers " +
+            std::to_string(workers) + (balanced ? " balanced" : " naive");
+
+        NetworkSynthesizer synthesizer(config);
+        const auto adjacency = synthesizer.synthesizeAdjacency(files);
+        expectEqualAdjacency(adjacency, reference, label);
+        const std::filesystem::path saved =
+            scratch.path() / (label + ".cadj");
+        sparse::saveAdjacency(adjacency, saved);
+        EXPECT_EQ(readBytes(saved), referenceBytes) << label;
+        const SynthesisReport& report = synthesizer.report();
+        EXPECT_EQ(report.partitionLoads.size(), workers) << label;
+        // Every schedule hands out each matrix exactly once.
+        const std::uint64_t load =
+            std::accumulate(report.partitionLoads.begin(),
+                            report.partitionLoads.end(), std::uint64_t{0});
+        if (!totalLoad) {
+          totalLoad = load;
+        }
+        EXPECT_EQ(load, *totalLoad) << label;
+        if (substrate.backend == SynthesisBackend::kSharedMemory) {
+          EXPECT_GE(report.partitionImbalance, 1.0) << label;
+          EXPECT_DOUBLE_EQ(report.partitionImbalance,
+                           report.adjacencyBusyImbalance)
+              << label;
+        }
+
+        if (substrate.budget > 0) {
+          // The streamed writer takes the budgeted path end to end.
+          const std::filesystem::path streamed =
+              scratch.path() / (label + ".streamed.cadj");
+          NetworkSynthesizer toFile(config);
+          EXPECT_EQ(toFile.synthesizeToFile(files, streamed),
+                    reference.edgeCount())
+              << label;
+          EXPECT_EQ(readBytes(streamed), referenceBytes) << label;
+        }
+      }
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "chisimnet/table/event_table.hpp"
 #include "chisimnet/util/rng.hpp"
@@ -221,6 +223,90 @@ TEST(EventTable, PlaceIndexFind) {
   EXPECT_EQ(index.find(10), 0u);
   EXPECT_EQ(index.find(30), 1u);
   EXPECT_EQ(index.find(20), PlaceIndex::npos);
+}
+
+/// The sort + binary-search build that the dense counting sort replaced,
+/// kept as the oracle every PlaceIndex must equal exactly.
+PlaceIndex oraclePlaceIndex(const EventTable& table) {
+  PlaceIndex index;
+  index.placeIds = table.uniquePlaces();
+  index.offsets.assign(index.placeIds.size() + 1, 0);
+  const auto places = table.placeColumn();
+  for (const PlaceId place : places) {
+    ++index.offsets[index.find(place) + 1];
+  }
+  for (std::size_t g = 1; g <= index.placeIds.size(); ++g) {
+    index.offsets[g] += index.offsets[g - 1];
+  }
+  index.rows.resize(table.size());
+  std::vector<std::uint64_t> cursor(index.offsets.begin(),
+                                    index.offsets.end() - 1);
+  for (std::uint64_t i = 0; i < table.size(); ++i) {
+    index.rows[cursor[index.find(places[i])]++] = i;
+  }
+  return index;
+}
+
+void expectOracleIndex(const EventTable& table, const std::string& label) {
+  const PlaceIndex got = table.buildPlaceIndex();
+  const PlaceIndex want = oraclePlaceIndex(table);
+  EXPECT_EQ(got.placeIds, want.placeIds) << label;
+  EXPECT_EQ(got.offsets, want.offsets) << label;
+  EXPECT_EQ(got.rows, want.rows) << label;
+}
+
+/// A table whose place column is exactly `places`.
+EventTable tableAtPlaces(const std::vector<PlaceId>& places) {
+  EventTable table;
+  for (std::size_t i = 0; i < places.size(); ++i) {
+    table.append(makeEvent(static_cast<Hour>(i), static_cast<Hour>(i + 1),
+                           static_cast<PersonId>(i), places[i]));
+  }
+  return table;
+}
+
+TEST(EventTable, PlaceIndexMatchesOracleOnRandomTables) {
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    util::Rng rng(seed + 300);
+    const std::size_t rows = 1 + rng.uniformBelow(2000);
+    // Dense: ids drawn below the row count, well inside the table bound.
+    expectOracleIndex(
+        randomTable(seed, rows, 100, 50,
+                    static_cast<PlaceId>(1 + rng.uniformBelow(rows))),
+        "dense seed " + std::to_string(seed));
+    // Sparse: ids anywhere in the 32-bit range, far past the bound.
+    std::vector<PlaceId> places(rows);
+    for (PlaceId& place : places) {
+      place = rng.uniformBelow(8) == 0
+                  ? places[rng.uniformBelow(rows)]
+                  : static_cast<PlaceId>(rng.next());
+    }
+    expectOracleIndex(tableAtPlaces(places),
+                      "sparse seed " + std::to_string(seed));
+  }
+}
+
+TEST(EventTable, PlaceIndexMatchesOracleOnEdgeCases) {
+  constexpr PlaceId kMax = std::numeric_limits<PlaceId>::max();
+  const EventTable empty;
+  const PlaceIndex emptyIndex = empty.buildPlaceIndex();
+  EXPECT_TRUE(emptyIndex.placeIds.empty());
+  EXPECT_EQ(emptyIndex.offsets, (std::vector<std::uint64_t>{0}));
+  EXPECT_TRUE(emptyIndex.rows.empty());
+  expectOracleIndex(empty, "empty");
+  expectOracleIndex(tableAtPlaces({0}), "single id 0");
+  expectOracleIndex(tableAtPlaces({kMax}), "single id UINT32_MAX");
+  expectOracleIndex(tableAtPlaces({kMax, 0, kMax, 7}), "UINT32_MAX mixed");
+  // The dense table admits ids below 4 entries per row: with 5 rows, 19
+  // is the last id at the bound and 20 the first past it.
+  expectOracleIndex(tableAtPlaces({19, 3, 0, 19, 3}), "at the bound");
+  expectOracleIndex(tableAtPlaces({20, 3, 0, 20, 3}), "past the bound");
+  expectOracleIndex(tableAtPlaces(std::vector<PlaceId>(50, 9)),
+                    "one place");
+  const PlaceIndex onePlace =
+      tableAtPlaces(std::vector<PlaceId>(50, 9)).buildPlaceIndex();
+  EXPECT_EQ(onePlace.placeIds, (std::vector<PlaceId>{9}));
+  EXPECT_EQ(onePlace.offsets, (std::vector<std::uint64_t>{0, 50}));
 }
 
 TEST(EventTable, MaxEnd) {

@@ -339,6 +339,13 @@ int cmdSynthesize(const Args& args) {
             << report.totalSeconds << " s (" << net::backendName(report.backend)
             << " backend, partition imbalance " << report.partitionImbalance
             << ")\n";
+  std::cout << "stages: load " << report.loadSeconds << " s, subset "
+            << report.subsetSeconds << " s, collocation "
+            << report.collocationSeconds << " s, partition "
+            << report.partitionSeconds << " s, adjacency "
+            << report.adjacencySeconds << " s, reduce "
+            << report.reduceSeconds << " s; stage-5 busy imbalance "
+            << report.adjacencyBusyImbalance << "\n";
   if (report.backend == net::SynthesisBackend::kMessagePassing) {
     std::cout << "comm: scattered " << report.bytesScattered / 1024
               << " KiB to ranks, returned " << report.bytesReturned / 1024
