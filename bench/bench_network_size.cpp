@@ -152,8 +152,8 @@ int main() {
   // the budget) still forces an external merge over the full edge set, but
   // the flush count stays small — each flush writes one run per resident
   // fine shard, and a tight cap at reduced scale would push thousands of
-  // tiny runs through maxLiveRuns compaction, measuring churn instead of
-  // the merge.
+  // tiny runs through intermediate owner passes, measuring churn instead
+  // of the merge.
   const std::uint64_t mergeCap = mapBytes;
   const unsigned mergeShards = 4;
   net::SynthesisConfig serialCfg = config;
@@ -161,7 +161,7 @@ int main() {
   serialCfg.reduceShards = 1;
   net::SynthesisConfig shardedCfg = serialCfg;
   shardedCfg.reduceShards = mergeShards;
-  // Fine shards sized for ~4 segments per owner so round-robin ownership
+  // Fine shards sized for ~4 segments per owner so LPT ownership
   // load-balances the merge plan.
   shardedCfg.mergeRowsPerShard = std::max<std::uint32_t>(
       1, static_cast<std::uint32_t>(population.persons().size()) /

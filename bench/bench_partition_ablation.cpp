@@ -12,7 +12,9 @@
 /// pulling (the shared backend's schedule), and reports weight imbalance,
 /// observed worker busy-time imbalance, and stage wall time.
 
+#include <algorithm>
 #include <functional>
+#include <thread>
 
 #include "bench_common.hpp"
 
@@ -53,7 +55,9 @@ int main() {
             << " places, nnz range [" << minNnz << ", " << fmtCount(maxNnz)
             << "] (paper: 1 .. tens of thousands)\n\n";
 
-  const unsigned workers = 8;
+  // One worker per hardware thread: more would time-slice, and the busy
+  // imbalance would measure the scheduler as much as the partition.
+  const unsigned workers = std::max(1u, std::thread::hardware_concurrency());
   struct Result {
     std::string name;
     double weightImbalance = 0.0;

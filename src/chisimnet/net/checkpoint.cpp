@@ -289,10 +289,11 @@ void saveSpillCheckpoint(const std::filesystem::path& dir,
   writeManifestFile(dir, manifest, /*adjacencyName=*/"", inflightName);
 
   // GC: snapshots the spill manifest supersedes (all .cadj, stale .evt),
-  // then spill files the new manifest does not reference — compaction
-  // inputs whose output run took their place, worker-run orphans of a
-  // crashed batch, and .tmp husks of interrupted spills. Safe only here,
-  // after the rename: until then the previous manifest may name them.
+  // then spill files the new manifest does not reference — originals of
+  // split runs, intermediate runs of a killed owner merge, worker-run
+  // orphans of a crashed batch, and .tmp husks of interrupted spills.
+  // Safe only here, after the rename: until then the previous manifest
+  // may name them.
   collectStaleSnapshots(dir, /*adjacencyName=*/"", inflightName);
   if (!gcSpillDir) {
     return;

@@ -128,8 +128,8 @@ void saveCheckpoint(const std::filesystem::path& dir,
 /// files (all durable — spilled via tmp+rename before this call). Writes
 /// the in-flight snapshot if given, renames the manifest into place, then
 /// garbage-collects `.spl`/`.spl.tmp` and `.cseg`/`.cseg.tmp` files in
-/// `spillDir` the new manifest does not reference (superseded compaction
-/// inputs, orphans of crashed spills, husks of killed shard merges) plus
+/// `spillDir` the new manifest does not reference (split originals,
+/// orphans of crashed spills, husks of killed shard merges) plus
 /// stale `.cadj`/`.evt` files in `dir`. Pass `gcSpillDir = false` for
 /// checkpoints written while other threads are still merging into
 /// `spillDir`: the sweep would delete their in-flight `.cseg.tmp` files

@@ -58,18 +58,14 @@ AdjacencySchedule SharedMemoryExecutor::mapAdjacency(
                    "memory budget requires a spill directory");
     const std::uint64_t threshold = std::max<std::uint64_t>(
         config_.memoryBudgetBytes / (8 * std::max(1u, config_.workers)), 1);
-    // splitRows routes every flush to its reduce-shard owner at write
-    // time (shard-pure runs), unless the serial merge was requested —
-    // that path keeps the legacy one-run-per-flush layout.
-    const std::uint32_t splitRows = resolvedReduceShards(config_) > 1
-                                        ? resolvedMergeRowsPerShard(config_)
-                                        : 0;
+    // Every flush is split at merge-shard boundaries (shard-pure runs).
+    const std::uint32_t splitRows = resolvedMergeRowsPerShard(config_);
     for (unsigned w = 0; w < config_.workers; ++w) {
       spillSums_.push_back(std::make_unique<sparse::SpillingSum>(
           config_.spillDir,
           "w" + std::to_string(w) + ".b" + std::to_string(batchCounter_) +
               ".",
-          threshold, splitRows));
+          threshold, splitRows, resolvedSpillFrameTriplets(config_)));
     }
     ++batchCounter_;
   } else {
@@ -145,24 +141,24 @@ std::vector<sparse::ShardSegment> SharedMemoryExecutor::mergeSpillShards(
     const std::function<void(const sparse::ShardSegment&)>& onSegment) {
   CHISIM_REQUIRE(!config_.spillDir.empty(),
                  "sharded merge requires a spill directory");
-  // Stable ownership: group g belongs to owner g % owners, and each owner
-  // merges its groups in ascending shard order. One cluster item per
-  // owner, so the owners run concurrently while a shard's merge stays
-  // single-threaded (segment bytes never depend on scheduling).
-  const unsigned owners = std::max(1u, resolvedReduceShards(config_));
-  std::vector<std::vector<std::size_t>> byOwner(owners);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    byOwner[g % owners].push_back(g);
-  }
+  // One cluster item per owner, so the owners run concurrently while a
+  // shard's merge stays single-threaded (segment bytes never depend on
+  // scheduling). Each owner merges its shards one at a time, within its
+  // share of the budget.
+  const auto owners = static_cast<unsigned>(std::clamp<std::size_t>(
+      groups.size(), 1, resolvedReduceShards(config_)));
+  const runtime::Partition partition =
+      runtime::partitionGreedyLpt(shardMergeWeights(groups), owners);
+  const std::uint64_t readerBudget = config_.memoryBudgetBytes / owners;
   std::vector<sparse::ShardSegment> segments(groups.size());
   std::mutex mutex;
   cluster_.applyDynamic(owners, [&](std::size_t owner, unsigned) {
-    for (const std::size_t g : byOwner[owner]) {
+    for (const std::size_t g : partition.assignment[owner]) {
       const sparse::SpillingAccumulator::ShardRunGroup& group = groups[g];
       const std::filesystem::path segmentFile =
           config_.spillDir / ("seg." + std::to_string(group.shard) + ".cseg");
       sparse::ShardSegment segment = sparse::mergeShardRuns(
-          group.shard, group.runs, segmentFile, config_.mergeReadahead);
+          group.shard, group.runs, segmentFile, readerBudget);
       segment.owner = static_cast<unsigned>(owner);
       const std::lock_guard<std::mutex> lock(mutex);
       segments[g] = segment;
@@ -174,6 +170,20 @@ std::vector<sparse::ShardSegment> SharedMemoryExecutor::mergeSpillShards(
 
 double SharedMemoryExecutor::adjacencyBusyImbalance() const noexcept {
   return cluster_.busyImbalance();
+}
+
+std::vector<std::uint64_t> shardMergeWeights(
+    const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups) {
+  std::vector<std::uint64_t> weights;
+  weights.reserve(groups.size());
+  for (const sparse::SpillingAccumulator::ShardRunGroup& group : groups) {
+    std::uint64_t triplets = 0;
+    for (const sparse::SpillRunInfo& run : group.runs) {
+      triplets += run.triplets;
+    }
+    weights.push_back(triplets);
+  }
+  return weights;
 }
 
 std::unique_ptr<SynthesisExecutor> makeExecutor(const SynthesisConfig& config) {

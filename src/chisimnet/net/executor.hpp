@@ -117,12 +117,14 @@ class SynthesisExecutor {
   virtual void reduceInto(sparse::SpillingAccumulator& sink) = 0;
 
   /// Stage-6 tail under a budget: merge each row-range shard's spill runs
-  /// into a sorted CADJ payload segment, the shards distributed across
-  /// this substrate's workers/ranks by stable round-robin ownership so
-  /// no single thread funnels the external merge. `onSegment` fires once
-  /// per completed segment, never concurrently — the driver checkpoints
-  /// from it mid-merge. Returns one segment per group, in unspecified
-  /// order (callers sort by shard before concatenating).
+  /// into a sorted CADJ payload segment. The shards are spread over this
+  /// substrate's owners (workers/ranks) by LPT over shardMergeWeights, so
+  /// no single thread funnels the external merge, and each owner merges in
+  /// passes within memoryBudgetBytes / owners of open run readers.
+  /// `onSegment` fires once per completed segment, never concurrently —
+  /// the driver checkpoints from it mid-merge. Returns one segment per
+  /// group, in unspecified order (callers sort by shard before
+  /// concatenating).
   virtual std::vector<sparse::ShardSegment> mergeSpillShards(
       const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
       const std::function<void(const sparse::ShardSegment&)>& onSegment) = 0;
@@ -179,9 +181,8 @@ class SharedMemoryExecutor final : public SynthesisExecutor {
   /// (SymmetricAdjacency::absorb), freeing each worker shard once folded.
   void reduce(sparse::SymmetricAdjacency& result) override;
   void reduceInto(sparse::SpillingAccumulator& sink) override;
-  /// Owners are worker threads: shard groups are assigned round-robin to
-  /// `resolvedReduceShards(config)` owners and each owner merges its
-  /// groups in ascending shard order on the cluster.
+  /// Owners are `resolvedReduceShards(config)` cluster items, each
+  /// merging its LPT share of the shard groups heaviest first.
   std::vector<sparse::ShardSegment> mergeSpillShards(
       const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
       const std::function<void(const sparse::ShardSegment&)>& onSegment)
@@ -266,11 +267,12 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   /// (a rename-scoped ownership transfer — zero copy), inline runs are
   /// inserted, and the workers' peak bytes reported via noteWorkerPeak().
   void reduceInto(sparse::SpillingAccumulator& sink) override;
-  /// Owners are live ranks: shard groups travel round-robin as
-  /// kCmdMergeShard commands (rank 0 executes its share inline), with the
-  /// stage-level retry and lost-rank reassignment semantics of every
-  /// other command. Segments come back as file references; run files are
-  /// read directly off the shared filesystem, never shipped.
+  /// Owners are the first min(resolvedReduceShards, live) live ranks: each
+  /// LPT share of the shard groups travels as one kCmdMergeShard command
+  /// (rank 0 executes its share inline), with the stage-level retry and
+  /// lost-rank reassignment semantics of every other command. Segments
+  /// come back as file references; run files are read directly off the
+  /// shared filesystem, never shipped.
   std::vector<sparse::ShardSegment> mergeSpillShards(
       const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
       const std::function<void(const sparse::ShardSegment&)>& onSegment)
@@ -369,6 +371,10 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   /// Must be constructed last: service threads read config_/ranks_.
   std::unique_ptr<runtime::RankTeam> team_;
 };
+
+/// Stage-6 owner weights: each shard group's summed run rows.
+std::vector<std::uint64_t> shardMergeWeights(
+    const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups);
 
 /// Builds the executor for config.backend.
 std::unique_ptr<SynthesisExecutor> makeExecutor(const SynthesisConfig& config);

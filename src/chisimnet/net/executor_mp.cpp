@@ -42,28 +42,15 @@ mp::StageParams stageParamsOf(const SynthesisConfig& config) {
                 1)
           : 0;
   params.spillDir = config.spillDir.string();
-  // Shard-pure worker runs: each stage-5 flush splits at reduce-shard
+  // Shard-pure worker runs: each stage-5 flush splits at merge-shard
   // boundaries so the root's merge planner never has to rewrite a run.
-  // The serial merge (reduceShards == 1) keeps the legacy layout.
-  params.splitRows = resolvedReduceShards(config) > 1
-                         ? resolvedMergeRowsPerShard(config)
-                         : 0;
+  params.splitRows = resolvedMergeRowsPerShard(config);
+  params.frameTriplets = resolvedSpillFrameTriplets(config);
   // TCP workers may live on other hosts: they spill into private local
   // directories and ship run bytes over the wire instead of returning
   // paths into a filesystem the root may not share.
   params.shipRuns = config.transport == MpTransport::kTcp;
   return params;
-}
-
-sparse::SpillRunInfo runRefInfo(const mp::RunRef& ref) {
-  sparse::SpillRunInfo info;
-  info.file = ref.file;
-  info.triplets = ref.triplets;
-  info.bytes = ref.bytes;
-  info.hasKeyRange = ref.hasKeyRange;
-  info.firstKey = ref.firstKey;
-  info.lastKey = ref.lastKey;
-  return info;
 }
 
 /// One "host:port" per line for ranks 1..N-1; blank lines and #-comments
@@ -583,9 +570,6 @@ AdjacencySchedule MessagePassingExecutor::mapAdjacency(
                    stats.globalEmits = mp::take64(reply, cursor);
                    stats.mergeReservedEntries = mp::take64(reply, cursor);
                    runKernelStats_.merge(stats);
-                   mp::take64(reply, cursor);  // flushes (in run adoption)
-                   mp::take64(reply, cursor);  // spilledTriplets (ditto)
-                   mp::take64(reply, cursor);  // spilledBytes (ditto)
                    workerPeakBytes_ += mp::take64(reply, cursor);
                    const std::uint32_t runCount = mp::take32(reply, cursor);
                    for (std::uint32_t run = 0; run < runCount; ++run) {
@@ -733,7 +717,7 @@ void MessagePassingExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
     util::WallTimer timer;
     for (mp::RunRef& run : reduceRuns_) {
       if (run.isFile()) {
-        sink.adoptRunFile(runRefInfo(run));  // ownership transfer, no copy
+        sink.adoptRunFile(mp::runInfoOf(run));  // ownership transfer, no copy
       } else if (!run.inlineRun.empty()) {
         sink.addSortedRun(run.inlineRun);
       }
@@ -754,45 +738,44 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
     const std::function<void(const sparse::ShardSegment&)>& onSegment) {
   CHISIM_REQUIRE(!config_.spillDir.empty(),
                  "sharded merge requires a spill directory");
-  // Work items are group indices; shard groups spread round-robin over the
-  // live ranks (rank 0 executes its share inline). Each body carries every
-  // shard of its rank plus the run references — the files themselves stay
-  // on the shared filesystem. A reassigned body gets a fresh token, so a
+  // Work items are group indices, spread by LPT over the owner ranks
+  // (rank 0 executes its share inline). Each body carries every shard of
+  // its rank plus the run references — the files themselves stay on the
+  // shared filesystem. A reassigned body gets a fresh token, so a
   // half-dead rank still merging the old body writes different segment
-  // names and never corrupts the survivor's output.
+  // names and never corrupts the survivor's output. Under run shipping
+  // the spill runs live only in the root's spill directory, so the root
+  // is the one owner.
   const std::vector<int> live = liveRanks();
-  std::vector<std::vector<std::size_t>> shares(live.size());
+  const std::size_t owners =
+      shipRuns_ ? 1
+                : std::clamp<std::size_t>(
+                      groups.size(), 1,
+                      std::min<std::size_t>(live.size(),
+                                            resolvedReduceShards(config_)));
+  const runtime::Partition partition =
+      runtime::partitionGreedyLpt(shardMergeWeights(groups), owners);
+  const std::uint64_t readerBudget = config_.memoryBudgetBytes / owners;
   std::unordered_map<std::uint32_t, unsigned> ownerOfShard;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    // Under run shipping the spill runs live only in the root's spill
-    // directory, so every shard merge is pinned to rank 0 (live[0]) and
-    // executes inline — distributing the shard merge without a shared
-    // filesystem would require shipping run files root->worker (see
-    // ROADMAP follow-up).
-    const std::size_t slot = shipRuns_ ? 0 : g % shares.size();
-    shares[slot].push_back(g);
+  for (std::size_t slot = 0; slot < owners; ++slot) {
     // Modeled owner = the initial assignment; a fault-driven reassignment
     // shifts real work elsewhere but the model keeps the healthy-run shape.
-    ownerOfShard[groups[g].shard] = static_cast<unsigned>(live[slot]);
+    for (const std::size_t g : partition.assignment[slot]) {
+      ownerOfShard[groups[g].shard] = static_cast<unsigned>(live[slot]);
+    }
   }
-  const auto buildBody = [this, &groups](std::span<const std::size_t> items) {
+  const auto buildBody = [this, &groups,
+                          readerBudget](std::span<const std::size_t> items) {
     std::vector<std::byte> body;
     mp::put64(body, nextRunToken_++);
-    mp::put32(body, static_cast<std::uint32_t>(config_.mergeReadahead));
+    mp::put64(body, readerBudget);
     mp::put32(body, static_cast<std::uint32_t>(items.size()));
     for (const std::size_t g : items) {
       const sparse::SpillingAccumulator::ShardRunGroup& group = groups[g];
       mp::put32(body, group.shard);
       mp::put32(body, static_cast<std::uint32_t>(group.runs.size()));
       for (const sparse::SpillRunInfo& run : group.runs) {
-        mp::RunRef ref;
-        ref.file = run.file.string();
-        ref.triplets = run.triplets;
-        ref.bytes = run.bytes;
-        ref.hasKeyRange = run.hasKeyRange;
-        ref.firstKey = run.firstKey;
-        ref.lastKey = run.lastKey;
-        mp::putRunRef(body, ref);
+        mp::putRunRef(body, mp::fileRunRef(run));
       }
     }
     return body;
@@ -800,12 +783,13 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
   std::vector<sparse::ShardSegment> segments;
   segments.reserve(groups.size());
   try {
-    for (std::size_t slot = 0; slot < live.size(); ++slot) {
-      if (shares[slot].empty()) {
+    for (std::size_t slot = 0; slot < owners; ++slot) {
+      if (partition.assignment[slot].empty()) {
         continue;
       }
-      std::vector<std::byte> body = buildBody(shares[slot]);
-      sendCommand(live[slot], mp::kCmdMergeShard, std::move(shares[slot]),
+      std::vector<std::byte> body = buildBody(partition.assignment[slot]);
+      sendCommand(live[slot], mp::kCmdMergeShard,
+                  std::vector<std::size_t>(partition.assignment[slot]),
                   std::move(body));
     }
     collectStage(
@@ -823,6 +807,10 @@ std::vector<sparse::ShardSegment> MessagePassingExecutor::mergeSpillShards(
             segment.triplets = mp::take64(reply, cursor);
             segment.bytes = mp::take64(reply, cursor);
             segment.crc = mp::take32(reply, cursor);
+            segment.passes = mp::take64(reply, cursor);
+            segment.passTriplets = mp::take64(reply, cursor);
+            segment.passBytes = mp::take64(reply, cursor);
+            segment.peakReaderBytes = mp::take64(reply, cursor);
             const auto owner = ownerOfShard.find(segment.shard);
             segment.owner = owner != ownerOfShard.end() ? owner->second : 0;
             segments.push_back(segment);

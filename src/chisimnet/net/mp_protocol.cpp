@@ -145,10 +145,35 @@ void putRunRef(std::vector<std::byte>& out, const RunRef& ref) {
     put32(out, ref.hasKeyRange ? 1 : 0);
     put64(out, ref.firstKey);
     put64(out, ref.lastKey);
+    put64(out, ref.frameTriplets);
   } else {
     put32(out, 0);
     putTriplets(out, ref.inlineRun);
   }
+}
+
+RunRef fileRunRef(const sparse::SpillRunInfo& info) {
+  RunRef ref;
+  ref.file = info.file.string();
+  ref.triplets = info.triplets;
+  ref.bytes = info.bytes;
+  ref.hasKeyRange = info.hasKeyRange;
+  ref.firstKey = info.firstKey;
+  ref.lastKey = info.lastKey;
+  ref.frameTriplets = info.frameTriplets;
+  return ref;
+}
+
+sparse::SpillRunInfo runInfoOf(const RunRef& ref) {
+  sparse::SpillRunInfo info;
+  info.file = ref.file;
+  info.triplets = ref.triplets;
+  info.bytes = ref.bytes;
+  info.hasKeyRange = ref.hasKeyRange;
+  info.firstKey = ref.firstKey;
+  info.lastKey = ref.lastKey;
+  info.frameTriplets = ref.frameTriplets;
+  return info;
 }
 
 RunRef takeRunRef(std::span<const std::byte> bytes, std::size_t& cursor) {
@@ -165,6 +190,10 @@ RunRef takeRunRef(std::span<const std::byte> bytes, std::size_t& cursor) {
     ref.hasKeyRange = take32(bytes, cursor) != 0;
     ref.firstKey = take64(bytes, cursor);
     ref.lastKey = take64(bytes, cursor);
+    ref.frameTriplets = take64(bytes, cursor);
+    CHISIM_CHECK(ref.frameTriplets >= 1 &&
+                     ref.frameTriplets <= sparse::kSpillFrameTriplets,
+                 "file run ref with an implausible frame size");
   } else {
     CHISIM_CHECK(mode == 0,
                  "unknown run ref mode " + std::to_string(mode));
@@ -268,6 +297,7 @@ std::vector<std::byte> encodeStageParams(const StageParams& params) {
   put64(bytes, params.spillThresholdBytes);
   putString(bytes, params.spillDir);
   put32(bytes, params.splitRows);
+  put64(bytes, params.frameTriplets);
   put32(bytes, params.shipRuns ? 1 : 0);
   return bytes;
 }
@@ -281,6 +311,7 @@ StageParams decodeStageParams(std::span<const std::byte> bytes) {
   params.spillThresholdBytes = take64(bytes, cursor);
   params.spillDir = takeString(bytes, cursor);
   params.splitRows = take32(bytes, cursor);
+  params.frameTriplets = take64(bytes, cursor);
   params.shipRuns = take32(bytes, cursor) != 0;
   CHISIM_CHECK(cursor == bytes.size(), "malformed stage parameter payload");
   return params;
@@ -333,7 +364,7 @@ std::vector<std::byte> executeSynthesisCommand(
       // the same files (deterministic content, tmp+rename) while a
       // reassigned body — which gets a fresh token — never collides with a
       // half-dead rank still executing the old one.
-      // Reply: [busySeconds f64][kernel stats 5×u64][spill stats 4×u64]
+      // Reply: [busySeconds f64][kernel stats 5×u64][peakLocalBytes u64]
       //        [runCount u32][RunRef × runCount].
       std::size_t cursor = 0;
       const std::uint64_t token = take64(body, cursor);
@@ -341,7 +372,8 @@ std::vector<std::byte> executeSynthesisCommand(
       util::WallTimer busy;
       sparse::SpillingSum sum(params.spillDir,
                               "t" + std::to_string(token) + ".",
-                              params.spillThresholdBytes, params.splitRows);
+                              params.spillThresholdBytes, params.splitRows,
+                              params.frameTriplets);
       for (const sparse::CollocationMatrix& matrix : batch) {
         sum.addCollocation(matrix, params.method);
       }
@@ -351,21 +383,7 @@ std::vector<std::byte> executeSynthesisCommand(
 
       std::vector<RunRef> refs;
       for (const sparse::SpillRunInfo& info : sum.runs()) {
-        RunRef ref;
-        ref.file = info.file.string();
-        ref.triplets = info.triplets;
-        ref.bytes = info.bytes;
-        ref.hasKeyRange = info.hasKeyRange;
-        ref.firstKey = info.firstKey;
-        ref.lastKey = info.lastKey;
-        refs.push_back(maybeShip(params, shipper, std::move(ref)));
-      }
-      WorkerSpillStats spill;
-      spill.flushes = sum.flushes();
-      spill.peakLocalBytes = sum.peakBytes();
-      for (const sparse::SpillRunInfo& info : sum.runs()) {
-        spill.spilledTriplets += info.triplets;
-        spill.spilledBytes += info.bytes;
+        refs.push_back(maybeShip(params, shipper, fileRunRef(info)));
       }
       if (!remainder.empty()) {
         const std::uint64_t inlineBytes =
@@ -382,19 +400,11 @@ std::vector<std::byte> executeSynthesisCommand(
                        "spill directory is configured");
           sparse::SpillRunWriter writer(
               std::filesystem::path(params.spillDir) /
-              ("t" + std::to_string(token) + ".f.spl"));
+                  ("t" + std::to_string(token) + ".f.spl"),
+              params.frameTriplets);
           writer.append(std::span<const sparse::AdjacencyTriplet>(remainder));
-          const sparse::SpillRunInfo info = writer.finish();
-          spill.spilledTriplets += info.triplets;
-          spill.spilledBytes += info.bytes;
-          RunRef ref;
-          ref.file = info.file.string();
-          ref.triplets = info.triplets;
-          ref.bytes = info.bytes;
-          ref.hasKeyRange = info.hasKeyRange;
-          ref.firstKey = info.firstKey;
-          ref.lastKey = info.lastKey;
-          refs.push_back(maybeShip(params, shipper, std::move(ref)));
+          refs.push_back(
+              maybeShip(params, shipper, fileRunRef(writer.finish())));
         }
       }
 
@@ -405,10 +415,9 @@ std::vector<std::byte> executeSynthesisCommand(
       put64(reply, stats.pairHourUpdates);
       put64(reply, stats.globalEmits);
       put64(reply, stats.mergeReservedEntries);
-      put64(reply, spill.flushes);
-      put64(reply, spill.spilledTriplets);
-      put64(reply, spill.spilledBytes);
-      put64(reply, spill.peakLocalBytes);
+      // The worker's spill counts reach the root through run adoption;
+      // only its peak bytes travel here.
+      put64(reply, sum.peakBytes());
       put32(reply, static_cast<std::uint32_t>(refs.size()));
       for (const RunRef& ref : refs) {
         putRunRef(reply, ref);
@@ -457,13 +466,7 @@ std::vector<std::byte> executeSynthesisCommand(
           while (merger.next(triplet)) {
             writer.append(triplet);
           }
-          const sparse::SpillRunInfo info = writer.finish();
-          out.file = info.file.string();
-          out.triplets = info.triplets;
-          out.bytes = info.bytes;
-          out.hasKeyRange = info.hasKeyRange;
-          out.firstKey = info.firstKey;
-          out.lastKey = info.lastKey;
+          out = fileRunRef(writer.finish());
         } else {
           out.inlineRun.reserve(
               static_cast<std::size_t>(projectedBytes /
@@ -486,18 +489,19 @@ std::vector<std::byte> executeSynthesisCommand(
       return reply;
     }
     case kCmdMergeShard: {
-      // Body: [runToken u64][readahead u32][shardCount u32][per shard:
-      // shard u32, runCount u32, RunRef × runCount (file runs, shard-pure)].
+      // Body: [runToken u64][readerBudget u64][shardCount u32][per shard:
+      // shard u32, runCount u32, RunRef × runCount (file runs,
+      // shard-pure)].
       // Reply: [busySeconds f64][shardCount u32][per shard: shard u32,
       // mergeSeconds f64, segment file string, triplets u64, bytes u64,
-      // crc u32]. Segment names carry the token, so a retried body rewrites
-      // its own files (deterministic content, tmp+rename) while a
-      // reassigned body — fresh token — never collides with a half-dead
-      // rank still merging the old one.
+      // crc u32, passes u64, passTriplets u64, passBytes u64,
+      // peakReaderBytes u64]. Segment names carry the token, so a retried
+      // body rewrites its own files (deterministic content, tmp+rename)
+      // while a reassigned body — fresh token — never collides with a
+      // half-dead rank still merging the old one.
       std::size_t cursor = 0;
       const std::uint64_t token = take64(body, cursor);
-      const auto readahead =
-          static_cast<sparse::SpillReadahead>(take32(body, cursor));
+      const std::uint64_t readerBudget = take64(body, cursor);
       const std::uint32_t shardCount = take32(body, cursor);
       CHISIM_CHECK(!params.spillDir.empty(),
                    "shard merge needs a spill directory");
@@ -511,27 +515,24 @@ std::vector<std::byte> executeSynthesisCommand(
         for (std::uint32_t r = 0; r < runCount; ++r) {
           const RunRef ref = takeRunRef(body, cursor);
           CHISIM_CHECK(ref.isFile(), "shard merge inputs must be run files");
-          sparse::SpillRunInfo info;
-          info.file = ref.file;
-          info.triplets = ref.triplets;
-          info.bytes = ref.bytes;
-          info.hasKeyRange = ref.hasKeyRange;
-          info.firstKey = ref.firstKey;
-          info.lastKey = ref.lastKey;
-          runs.push_back(std::move(info));
+          runs.push_back(runInfoOf(ref));
         }
         const std::filesystem::path segmentFile =
             std::filesystem::path(params.spillDir) /
             ("seg." + std::to_string(shard) + ".t" + std::to_string(token) +
              ".cseg");
         const sparse::ShardSegment segment =
-            sparse::mergeShardRuns(shard, runs, segmentFile, readahead);
+            sparse::mergeShardRuns(shard, runs, segmentFile, readerBudget);
         put32(segments, shard);
         putDouble(segments, segment.mergeSeconds);
         putString(segments, segment.file.string());
         put64(segments, segment.triplets);
         put64(segments, segment.bytes);
         put32(segments, segment.crc);
+        put64(segments, segment.passes);
+        put64(segments, segment.passTriplets);
+        put64(segments, segment.passBytes);
+        put64(segments, segment.peakReaderBytes);
       }
       CHISIM_CHECK(cursor == body.size(), "merge-shard body size mismatch");
       std::vector<std::byte> reply;

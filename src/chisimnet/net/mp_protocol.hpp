@@ -9,6 +9,7 @@
 
 #include "chisimnet/sparse/adjacency.hpp"
 #include "chisimnet/sparse/collocation.hpp"
+#include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/table/event.hpp"
 
 /// Wire protocol of the message-passing synthesis backend.
@@ -100,12 +101,17 @@ struct RunRef {
   bool hasKeyRange = false;
   std::uint64_t firstKey = 0;
   std::uint64_t lastKey = 0;
+  std::uint64_t frameTriplets = sparse::kSpillFrameTriplets;  ///< file mode
   bool isFile() const noexcept { return !file.empty(); }
 };
 
+/// The file ref naming `info`'s run, and the run a file ref names.
+RunRef fileRunRef(const sparse::SpillRunInfo& info);
+sparse::SpillRunInfo runInfoOf(const RunRef& ref);
+
 /// [mode u32: 0 inline | 1 file | 2 shipped][inline: putTriplets |
 /// file/shipped: putString + triplets u64 + bytes u64 + hasRange u32 +
-/// firstKey u64 + lastKey u64]
+/// firstKey u64 + lastKey u64 + frameTriplets u64]
 void putRunRef(std::vector<std::byte>& out, const RunRef& ref);
 RunRef takeRunRef(std::span<const std::byte> bytes, std::size_t& cursor);
 
@@ -134,14 +140,6 @@ class RunShipper {
   virtual ~RunShipper() = default;
   virtual std::string ship(const std::filesystem::path& file,
                            std::uint64_t bytes) = 0;
-};
-
-/// Worker-side spill activity returned beside each adjacency reply.
-struct WorkerSpillStats {
-  std::uint64_t flushes = 0;          ///< in-memory sum flushes to disk
-  std::uint64_t spilledTriplets = 0;  ///< rows written to run files
-  std::uint64_t spilledBytes = 0;     ///< run-file bytes written
-  std::uint64_t peakLocalBytes = 0;   ///< worker's max in-memory footprint
 };
 
 /// [count u32][per matrix: byteLength u32 + payload]
@@ -173,11 +171,13 @@ struct StageParams {
   /// shared with the root (workers are local processes/threads). Empty
   /// only when no budget is set AND replies are guaranteed to fit inline.
   std::string spillDir;
-  /// Row-range width of one reduce shard. Non-zero makes workers partition
-  /// each stage-5 flush at shard boundaries, so every run they return is
-  /// shard-pure and the root's sharded merge never has to split it. 0 =
-  /// one run per flush (serial-merge runs, the legacy layout).
-  std::uint32_t splitRows = 0;
+  /// Row-range width of one merge shard: workers partition each stage-5
+  /// flush at shard boundaries, so every run they return is shard-pure and
+  /// the root's merge planner never has to split it.
+  std::uint32_t splitRows = 1;
+  /// Rows per frame of the worker's spill runs
+  /// (resolvedSpillFrameTriplets).
+  std::uint64_t frameTriplets = sparse::kSpillFrameTriplets;
   /// True when the worker and root may not share a filesystem (the TCP
   /// transport). The worker then spills into a private local directory and
   /// ships every file run's bytes to the root on kShipTag instead of

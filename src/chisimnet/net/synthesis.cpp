@@ -35,15 +35,14 @@ sparse::SpillingAccumulator::Options sinkOptions(
   sparse::SpillingAccumulator::Options options;
   options.dir = config.spillDir;
   options.budgetBytes = config.memoryBudgetBytes;
-  // Checkpoint manifests reference live run files by name, so compaction
-  // inputs must stay on disk until the next manifest stops naming them.
+  // Checkpoint manifests reference live run files by name, so the
+  // originals of split runs must stay on disk until the next manifest
+  // stops naming them.
   options.deferDeletes = !config.checkpointDir.empty();
-  // Sharded merges align the sink's row-range shards with the reduce
-  // shards, so sink spills are shard-pure too. The serial merge keeps the
-  // legacy width (identical behavior to pre-shard builds).
-  if (config.mergeRowsPerShard != 0 || resolvedReduceShards(config) > 1) {
-    options.rowsPerShard = resolvedMergeRowsPerShard(config);
-  }
+  // The sink's row-range shards are the merge shards, so its spills are
+  // shard-pure too.
+  options.rowsPerShard = resolvedMergeRowsPerShard(config);
+  options.frameTriplets = resolvedSpillFrameTriplets(config);
   return options;
 }
 
@@ -55,6 +54,7 @@ void foldSpillStats(SynthesisReport& report, const sparse::SpillStats& stats) {
   report.peakAccumulatorBytes = stats.peakResidentBytes;
   report.peakStage5Bytes = stats.peakWorkerBytes;
   report.spillRunsSplit = stats.runsSplit;
+  report.peakMergeReaderBytes = stats.peakMergeReaderBytes;
 }
 
 }  // namespace
@@ -66,15 +66,16 @@ unsigned resolvedReduceShards(const SynthesisConfig& config) noexcept {
 
 std::uint32_t resolvedMergeRowsPerShard(
     const SynthesisConfig& config) noexcept {
-  if (config.mergeRowsPerShard != 0) {
-    return config.mergeRowsPerShard;
-  }
-  // The legacy shard width divided across the owners: every owner gets
-  // multiple fine shards to balance over once the population crosses one
-  // legacy shard, while small runs still collapse to a single shard.
-  constexpr std::uint32_t kLegacyRowsPerShard = 1u << 18;
-  return std::max<std::uint32_t>(
-      1, kLegacyRowsPerShard / std::max(1u, resolvedReduceShards(config)));
+  return config.mergeRowsPerShard != 0 ? config.mergeRowsPerShard
+                                       : sparse::kMergeRowsPerShard;
+}
+
+std::uint64_t resolvedSpillFrameTriplets(
+    const SynthesisConfig& config) noexcept {
+  return config.memoryBudgetBytes == 0
+             ? sparse::kSpillFrameTriplets
+             : sparse::spillFrameTripletsWithin(config.memoryBudgetBytes /
+                                                resolvedReduceShards(config));
 }
 
 NetworkSynthesizer::NetworkSynthesizer(SynthesisConfig config)
@@ -425,13 +426,6 @@ void NetworkSynthesizer::runFilePipeline(
         }
         saveSpillCheckpoint(config_.checkpointDir, manifest, config_.spillDir,
                             nextInflight);
-        // Compaction inputs superseded by this manifest can go only now;
-        // deleting them earlier would break resume from the previous one.
-        for (const std::filesystem::path& retired :
-             sink->takeRetiredFiles()) {
-          std::error_code ignored;
-          std::filesystem::remove(retired, ignored);
-        }
       } else {
         saveCheckpoint(config_.checkpointDir, manifest, *dense, nextInflight);
       }
@@ -554,13 +548,9 @@ sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
     // should use synthesizeToFile, which streams the merge to disk.
     sparse::SpillingAccumulator sink(sinkOptions(config_));
     runFilePipeline(logFiles, nullptr, &sink);
-    const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
-    // The merge is (i, j)-sorted, so addAll sizes each shard once for its
-    // rows and the drain never rehashes.
-    report_.mergeReservedEntries += merged->sizeHint();
-    result.addAll(*merged);
-    result.addKernelStats(sink.kernelStats());
-    foldSpillStats(report_, sink.stats());
+    util::WallTimer reduceTimer;
+    materializeMerge(logFiles, sink, result);
+    report_.reduceSeconds += reduceTimer.seconds();
   }
   report_.edges = result.edgeCount();
   report_.totalSeconds = total.seconds();
@@ -576,34 +566,39 @@ std::uint64_t NetworkSynthesizer::synthesizeToFile(
   util::WallTimer total;
   sparse::SpillingAccumulator sink(sinkOptions(config_));
   runFilePipeline(logFiles, nullptr, &sink);
-  const unsigned owners = resolvedReduceShards(config_);
-  report_.reduceShardsUsed = owners;
-  std::uint64_t edges = 0;
-  if (owners <= 1) {
-    // Serial external finish: spill whatever is resident and k-way merge
-    // all runs straight into the CADJ writer. The writer's output is
-    // byte-identical to saveTriplets of the equivalent in-memory map
-    // because both emit the same sorted rows through the same framing.
-    const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
-    sparse::StreamingTripletWriter writer(outPath);
-    sparse::AdjacencyTriplet triplet;
-    while (merged->next(triplet)) {
-      writer.append(triplet);
-    }
-    edges = writer.finish();
-  } else {
-    edges = mergeShardsToFile(logFiles, sink, outPath);
-  }
-  foldSpillStats(report_, sink.stats());
+  // The owners' merge and the splice finish stage 6.
+  util::WallTimer reduceTimer;
+  const std::uint64_t edges = mergeShardsToFile(logFiles, sink, outPath);
+  report_.reduceSeconds += reduceTimer.seconds();
   report_.edges = edges;
   report_.totalSeconds = total.seconds();
   return edges;
 }
 
+void NetworkSynthesizer::materializeMerge(
+    const std::vector<std::filesystem::path>& logFiles,
+    sparse::SpillingAccumulator& sink, sparse::SymmetricAdjacency& result) {
+  // The same owner merge as synthesizeToFile, into a CADJ in the spill
+  // directory that is read back: (i, j)-sorted, so addAll sizes each
+  // shard once for its rows and the drain never rehashes.
+  const std::filesystem::path merged = config_.spillDir / "merged.cadj";
+  mergeShardsToFile(logFiles, sink, merged);
+  const std::vector<sparse::AdjacencyTriplet> triplets =
+      sparse::loadTriplets(merged);
+  std::filesystem::remove(merged);
+  report_.mergeReservedEntries += triplets.size();
+  sparse::SpanTripletSource source(triplets);
+  result.addAll(source);
+  result.addKernelStats(sink.kernelStats());
+}
+
 std::uint64_t NetworkSynthesizer::mergeShardsToFile(
     const std::vector<std::filesystem::path>& logFiles,
     sparse::SpillingAccumulator& sink, const std::filesystem::path& outPath) {
-  const bool checkpointing = !config_.checkpointDir.empty();
+  // A single in-memory batch (no file list) has no cursor to checkpoint.
+  const bool checkpointing =
+      !config_.checkpointDir.empty() && !logFiles.empty();
+  report_.reduceShardsUsed = resolvedReduceShards(config_);
   // The plan routes every live run to its row-range shard, splitting
   // straddlers; under deferDeletes the split inputs stay on disk so the
   // previous manifest remains resumable until the next one is written.
@@ -704,10 +699,14 @@ std::uint64_t NetworkSynthesizer::mergeShardsToFile(
   }
   // Modeled parallel merge time: the busiest owner's summed thread-CPU
   // seconds (reused segments cost nothing this run, so they don't count).
+  // The owners' intermediate passes are spill activity like the sink's.
+  sparse::SpillStats stats = sink.stats();
   std::map<unsigned, double> perOwner;
   for (const sparse::ShardSegment& segment : merged) {
     perOwner[segment.owner] += segment.mergeSeconds;
+    stats.addSegment(segment);
   }
+  foldSpillStats(report_, stats);
   for (const auto& [owner, seconds] : perOwner) {
     report_.mergeCriticalSeconds =
         std::max(report_.mergeCriticalSeconds, seconds);
@@ -715,8 +714,8 @@ std::uint64_t NetworkSynthesizer::mergeShardsToFile(
 
   // Splice: ascending shard order over disjoint ascending key ranges is
   // the globally sorted stream, so the concatenation is byte-identical to
-  // the serial merge's CADJ (same rows, same framing). appendSegmentFile
-  // re-verifies each segment's CRC as it copies.
+  // saveAdjacency's CADJ of the same sum (same rows, same framing).
+  // appendSegmentFile re-verifies each segment's CRC as it copies.
   sparse::StreamingTripletWriter writer(outPath);
   for (const auto& [shard, segment] : completed) {
     const sparse::TripletSegmentInfo info{segment.triplets, segment.bytes,
@@ -731,6 +730,7 @@ sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
   report_ = SynthesisReport{};
   report_.backend = config_.backend;
   report_.memoryBudgetBytes = config_.memoryBudgetBytes;
+  restoredSegments_.clear();
   executor_->resetTransferCounters();
   util::WallTimer total;
   report_.logEntriesLoaded = events.size();
@@ -741,11 +741,9 @@ sparse::SymmetricAdjacency NetworkSynthesizer::synthesizeAdjacency(
   } else {
     sparse::SpillingAccumulator sink(sinkOptions(config_));
     processBatch(events, nullptr, &sink);
-    const std::unique_ptr<sparse::TripletSource> merged = sink.finishMerge();
-    report_.mergeReservedEntries += merged->sizeHint();
-    result.addAll(*merged);
-    result.addKernelStats(sink.kernelStats());
-    foldSpillStats(report_, sink.stats());
+    util::WallTimer reduceTimer;
+    materializeMerge({}, sink, result);
+    report_.reduceSeconds += reduceTimer.seconds();
   }
   report_.batches = 1;
   for (FaultEvent& event : executor_->drainFaultEvents()) {

@@ -273,28 +273,23 @@ struct SynthesisConfig {
   /// directory is where the root materializes them.
   std::filesystem::path spillDir;
 
-  // ---- sharded external merge (stage-6 spill reduce) ----
+  // ---- shard-owned external merge (stage-6 spill reduce) ----
 
   /// Owners of the stage-6 external merge: the spill runs are grouped by
-  /// row-range shard and the shards distributed round-robin across this
-  /// many owners (worker threads on the shared backend, ranks on message
-  /// passing), each running an independent loser-tree merge. The final
-  /// CADJ is the byte-identical concatenation of the per-shard segments,
-  /// so the output does not depend on this knob (it stays outside the
-  /// checkpoint config hash). 0 = auto (= workers); 1 = the serial
-  /// single-merge baseline.
+  /// row-range shard, and the shards are spread over this many owners
+  /// (worker threads on the shared backend, live ranks on message passing)
+  /// by LPT over each shard's run rows. Each owner merges its shards in
+  /// passes whose open run readers stay within memoryBudgetBytes / owners.
+  /// The final CADJ is the byte-identical concatenation of the per-shard
+  /// segments, so the output does not depend on this knob (it stays
+  /// outside the checkpoint config hash). 0 = auto (= workers); 1 = one
+  /// owner.
   unsigned reduceShards = 0;
   /// Row-range width of one merge shard (the granularity owners balance
   /// over, and the unit the final concatenation is ordered by). 0 = auto:
-  /// 2^18 rows divided by the resolved owner count, floored at 1. Exposed
-  /// mainly so tests and benches can force multi-shard layouts on small
-  /// populations.
+  /// sparse::kMergeRowsPerShard. Exposed mainly so tests and benches can
+  /// force multi-shard layouts on small populations.
   std::uint32_t mergeRowsPerShard = 0;
-  /// Read-side prefetch policy of the merge's run readers (per-run
-  /// double-buffered frame decode by default; kFadvise adds OS readahead
-  /// hints on top).
-  sparse::SpillReadahead mergeReadahead =
-      sparse::SpillReadahead::kDoubleBuffer;
 };
 
 /// Resolved owner count of the sharded external merge (reduceShards,
@@ -302,8 +297,14 @@ struct SynthesisConfig {
 unsigned resolvedReduceShards(const SynthesisConfig& config) noexcept;
 
 /// Resolved row-range width of one merge shard (mergeRowsPerShard, with
-/// 0 = 2^18 / owners so each owner has work to balance).
+/// 0 = sparse::kMergeRowsPerShard).
 std::uint32_t resolvedMergeRowsPerShard(const SynthesisConfig& config) noexcept;
+
+/// Rows per frame of every spill run of a budgeted run: sized so that
+/// sixteen runs fit one owner's share of the budget
+/// (sparse::spillFrameTripletsWithin(budget / owners)).
+std::uint64_t resolvedSpillFrameTriplets(
+    const SynthesisConfig& config) noexcept;
 
 /// Timing and size metrics of the last synthesis run. One report type
 /// serves both backends; fields a backend has no source for (e.g. comm
@@ -332,7 +333,9 @@ struct SynthesisReport {
   double collocationSeconds = 0.0;///< stage 3: collocation matrices
   double partitionSeconds = 0.0;  ///< stage 4: adjacency-cost weights
   double adjacencySeconds = 0.0;  ///< stage 5: x·xᵀ products
-  double reduceSeconds = 0.0;     ///< stage 6: worker-sum reduction
+  /// Stage 6: worker-sum reduction; under a memory budget also the
+  /// owners' final merge and the splice (or read-back) of its segments.
+  double reduceSeconds = 0.0;
   double totalSeconds = 0.0;
 
   /// Stage-5 imbalance of the last batch. Shared memory: the measured
@@ -403,7 +406,9 @@ struct SynthesisReport {
   std::uint64_t spillRunsWritten = 0;   ///< sorted run files produced
   std::uint64_t spilledTriplets = 0;    ///< triplet rows that went to disk
   std::uint64_t spilledBytes = 0;       ///< run-file bytes written
-  std::uint64_t spillCompactions = 0;   ///< live-run k-way compactions
+  /// Intermediate merge passes of the shard owners (each writes one run;
+  /// their runs and bytes count in spillRunsWritten and spilledBytes).
+  std::uint64_t spillCompactions = 0;
   /// Max observed resident accumulator bytes (cross-batch shards + the
   /// spill-sort transient). The budget guarantee the tests assert:
   /// peakAccumulatorBytes ≤ memoryBudgetBytes.
@@ -414,6 +419,10 @@ struct SynthesisReport {
   /// per-place kernels cannot flush mid-place, so one crowded place sets
   /// the floor regardless of the budget.
   std::uint64_t peakStage5Bytes = 0;
+  /// Largest run-reader bytes one merge owner held open at once; the
+  /// merge keeps it within memoryBudgetBytes / owners whenever that share
+  /// covers a pass's two smallest runs.
+  std::uint64_t peakMergeReaderBytes = 0;
 
   // ---- sharded external merge (synthesizeToFile under a budget) ----
 
@@ -489,14 +498,22 @@ class NetworkSynthesizer {
   /// Stage-4 weight of one matrix (nnz, or occupancy-scaled per config).
   std::uint64_t partitionWeight(const sparse::CollocationMatrix& matrix) const;
 
-  /// Sharded tail of synthesizeToFile (resolvedReduceShards > 1): builds
-  /// the shard merge plan, reuses validated segments restored by a resume,
-  /// runs the remaining shards through the executor's owners (with a
-  /// per-segment checkpoint when checkpointing), and splices the segments
-  /// into `outPath` in ascending shard order. Returns the edge count.
+  /// Stage-6 tail under a memory budget: builds the shard merge plan,
+  /// reuses validated segments restored by a resume, runs the remaining
+  /// shards through the executor's owners (with a per-segment checkpoint
+  /// when checkpointing; an empty `logFiles` means a single in-memory
+  /// batch, which has no checkpoint), splices the segments into `outPath`
+  /// in ascending shard order, and folds the spill stats into the report.
+  /// Returns the edge count.
   std::uint64_t mergeShardsToFile(
       const std::vector<std::filesystem::path>& logFiles,
       sparse::SpillingAccumulator& sink, const std::filesystem::path& outPath);
+
+  /// mergeShardsToFile into the spill directory, read back into `result`:
+  /// the budgeted synthesizeAdjacency tail.
+  void materializeMerge(const std::vector<std::filesystem::path>& logFiles,
+                        sparse::SpillingAccumulator& sink,
+                        sparse::SymmetricAdjacency& result);
 
   SynthesisConfig config_;
   SynthesisReport report_;

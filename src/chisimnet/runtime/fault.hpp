@@ -48,8 +48,8 @@
 ///   spill.write         SpillRunWriter::finish, after the run body is on
 ///                       disk but BEFORE the tmp→final rename (kThrow models
 ///                       a crash mid-spill leaving only a .tmp orphan)
-///   spill.merge         SpillingAccumulator compaction, before the k-way
-///                       merge of live runs begins
+///   spill.merge         mergeShardRuns, before each intermediate pass of
+///                       a shard owner's merge
 ///   abm.step            ABM rank loop, top of each simulated hour (both
 ///                       cores); ordinal = the simulated hour, so a spec's
 ///                       exact hit means "at hour H" regardless of thread

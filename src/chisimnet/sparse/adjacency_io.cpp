@@ -273,8 +273,14 @@ void PayloadBuffer::append(std::span<const AdjacencyTriplet> rows) {
 }
 
 void PayloadBuffer::appendEncoded(std::span<const std::byte> bytes) {
+  appendEncoded(bytes, util::crc32(bytes));
+}
+
+void PayloadBuffer::appendEncoded(std::span<const std::byte> bytes,
+                                  std::uint32_t bytesCrc) {
   flush();  // everything buffered so far precedes these bytes
-  crc_ = util::crc32(bytes, crc_);  // chained: equals crc32(whole payload)
+  // Folded, not rehashed: still equals crc32(whole payload).
+  crc_ = util::crc32Combine(crc_, bytesCrc, bytes.size());
   util::writeBytes(*out_, bytes);
   written_ += bytes.size();
 }
@@ -358,7 +364,7 @@ void StreamingTripletWriter::appendSegmentFile(
   CHISIM_REQUIRE(!finished_, "adjacency stream already finished");
   std::ifstream in(segment, std::ios::binary);
   CHISIM_CHECK(in.good(), "cannot open segment file: " + segment.string());
-  std::vector<std::byte> chunk(kRowBytes * 4096);
+  std::vector<std::byte> chunk(kRowBytes * kRowsPerChunk);
   std::uint64_t copied = 0;
   std::uint32_t segmentCrc = 0;
   while (copied < info.bytes) {
@@ -368,9 +374,12 @@ void StreamingTripletWriter::appendSegmentFile(
             static_cast<std::streamsize>(want));
     CHISIM_CHECK(in.gcount() == static_cast<std::streamsize>(want),
                  "segment file truncated: " + segment.string());
+    // One hash per byte: the chunk's CRC is folded into both the segment
+    // check and the payload's chained CRC.
     const std::span<const std::byte> bytes(chunk.data(), want);
-    segmentCrc = util::crc32(bytes, segmentCrc);
-    payload_.appendEncoded(bytes);  // chained CRC composes across segments
+    const std::uint32_t chunkCrc = util::crc32(bytes);
+    segmentCrc = util::crc32Combine(segmentCrc, chunkCrc, want);
+    payload_.appendEncoded(bytes, chunkCrc);
     copied += want;
   }
   CHISIM_CHECK(segmentCrc == info.crc,

@@ -96,6 +96,9 @@ class PayloadBuffer {
   void append(std::span<const AdjacencyTriplet> rows);
   /// Writes already-encoded rows after everything appended so far.
   void appendEncoded(std::span<const std::byte> bytes);
+  /// The same, for rows whose crc32 the caller already took: it is folded
+  /// into the chained CRC (util::crc32Combine) instead of rehashing.
+  void appendEncoded(std::span<const std::byte> bytes, std::uint32_t bytesCrc);
   void flush();
 
   std::uint32_t crc() const noexcept { return crc_; }
@@ -157,10 +160,11 @@ class StreamingTripletWriter {
   void appendEncoded(std::span<const std::byte> bytes, std::uint64_t rows);
 
   /// Splices a finished payload segment (TripletSegmentWriter output) into
-  /// the stream by raw byte copy: no decode, no re-encode. The chained
-  /// payload CRC composes across the copy, and the copied bytes are
-  /// re-CRCed against `info.crc` so a segment corrupted at rest (or a
-  /// stale resume artifact) fails loudly instead of poisoning the output.
+  /// the stream by raw byte copy: no decode, no re-encode. Each copied
+  /// byte is hashed once: the CRC is checked against `info.crc` so a
+  /// segment corrupted at rest (or a stale resume artifact) fails loudly
+  /// instead of poisoning the output, and folded into the chained payload
+  /// CRC.
   /// Segments must be appended in ascending key order relative to every
   /// other append.
   void appendSegmentFile(const std::filesystem::path& segment,

@@ -1,6 +1,9 @@
 #include "chisimnet/sparse/collocation.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "chisimnet/util/error.hpp"
 
@@ -34,6 +37,20 @@ std::vector<Presence> expandPresences(std::span<const table::Event> events,
   return presences;
 }
 
+/// Distinct values in `hours`, each of which must lie in the slice.
+std::uint32_t countOccupiedHours(std::span<const std::uint32_t> hours,
+                                 std::uint32_t sliceHours) {
+  std::vector<std::uint8_t> seen(sliceHours, 0);
+  std::uint32_t count = 0;
+  for (const std::uint32_t hour : hours) {
+    CHISIM_CHECK(hour < sliceHours,
+                 "collocation matrix hour outside its slice");
+    count += seen[hour] == 0 ? 1 : 0;
+    seen[hour] = 1;
+  }
+  return count;
+}
+
 }  // namespace
 
 CollocationMatrix::CollocationMatrix(table::PlaceId place,
@@ -60,18 +77,7 @@ CollocationMatrix::CollocationMatrix(table::PlaceId place,
   if (persons_.empty()) {
     offsets_.assign(1, 0);
   }
-}
-
-std::uint32_t CollocationMatrix::occupiedHours() const noexcept {
-  std::vector<bool> seen(sliceHours_, false);
-  std::uint32_t count = 0;
-  for (std::uint32_t hour : hours_) {
-    if (!seen[hour]) {
-      seen[hour] = true;
-      ++count;
-    }
-  }
-  return count;
+  occupiedHours_ = countOccupiedHours(hours_, sliceHours_);
 }
 
 bool CollocationMatrix::present(std::size_t row, std::uint32_t hour) const noexcept {
@@ -148,6 +154,7 @@ CollocationMatrix CollocationMatrix::fromBytes(std::span<const std::byte> bytes)
   CHISIM_CHECK(cursor == bytes.size(), "trailing bytes in collocation matrix");
   CHISIM_CHECK(matrix.offsets_.front() == 0 && matrix.offsets_.back() == nnz,
                "corrupt collocation matrix offsets");
+  matrix.occupiedHours_ = countOccupiedHours(matrix.hours_, matrix.sliceHours_);
   return matrix;
 }
 

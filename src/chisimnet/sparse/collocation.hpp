@@ -50,8 +50,9 @@ class CollocationMatrix {
   /// Number of distinct slice hours with at least one person present.
   /// nnz() / occupiedHours() is the mean simultaneous occupancy, the basis
   /// of the occupancy-scaled partition weight
-  /// (SynthesisConfig::occupancyWeight).
-  std::uint32_t occupiedHours() const noexcept;
+  /// (SynthesisConfig::occupancyWeight). Counted once, where the matrix is
+  /// built or decoded.
+  std::uint32_t occupiedHours() const noexcept { return occupiedHours_; }
 
   /// True when person `row` was present during relative hour `hour`.
   bool present(std::size_t row, std::uint32_t hour) const noexcept;
@@ -68,6 +69,7 @@ class CollocationMatrix {
  private:
   table::PlaceId place_ = 0;
   std::uint32_t sliceHours_ = 0;
+  std::uint32_t occupiedHours_ = 0;
   std::vector<table::PersonId> persons_;   ///< sorted distinct visitors
   std::vector<std::uint64_t> offsets_;     ///< persons_.size()+1 into hours_
   std::vector<std::uint32_t> hours_;       ///< per-person sorted hour indices

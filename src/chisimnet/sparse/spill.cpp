@@ -1,16 +1,14 @@
 #include "chisimnet/sparse/spill.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cstddef>
 #include <cstring>
 #include <map>
+#include <string_view>
 #include <system_error>
 #include <utility>
-
-#if defined(__linux__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "chisimnet/runtime/fault.hpp"
 #include "chisimnet/util/binary_io.hpp"
@@ -26,37 +24,30 @@ constexpr std::uint32_t kSpillVersion = 1;
 /// Header: magic 4 | version u32 | tripletCount u64.
 constexpr std::uint64_t kSpillHeaderBytes = 4 + 4 + 8;
 constexpr std::size_t kTripletBytes = sizeof(AdjacencyTriplet);
-static_assert(sizeof(AdjacencyTriplet) == 16,
-              "spill frames assume 16-byte packed triplets");
+static_assert(sizeof(AdjacencyTriplet) == kTripletBytes &&
+                  offsetof(AdjacencyTriplet, j) == 4 &&
+                  offsetof(AdjacencyTriplet, weight) == 8,
+              "a spill row is read straight into an AdjacencyTriplet");
 
 /// Floor for spill/flush thresholds so pathological tiny budgets still
 /// terminate: a threshold below one minimal hash table would spill on
 /// every insert.
 constexpr std::uint64_t kMinSpillThresholdBytes = 4096;
 
-std::vector<std::byte> encodeFrame(std::span<const AdjacencyTriplet> rows) {
-  std::vector<std::byte> payload(rows.size() * kTripletBytes);
-  std::byte* out = payload.data();
-  const auto put32 = [&out](std::uint32_t value) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      *out++ = static_cast<std::byte>(value >> shift);
-    }
-  };
-  for (const AdjacencyTriplet& row : rows) {
-    put32(row.i);
-    put32(row.j);
-    put32(static_cast<std::uint32_t>(row.weight));
-    put32(static_cast<std::uint32_t>(row.weight >> 32));
-  }
-  return payload;
-}
+/// The accumulator's own runs are named run.<n>.spl.
+constexpr std::string_view kRunPrefix = "run.";
 
 }  // namespace
 
 // ---------------------------------------------------------------- writer
 
-SpillRunWriter::SpillRunWriter(std::filesystem::path path)
-    : path_(std::move(path)), tmp_(path_.string() + ".tmp") {
+SpillRunWriter::SpillRunWriter(std::filesystem::path path,
+                               std::uint64_t frameTriplets)
+    : path_(std::move(path)),
+      tmp_(path_.string() + ".tmp"),
+      frameTriplets_(frameTriplets) {
+  CHISIM_REQUIRE(frameTriplets_ >= 1 && frameTriplets_ <= kSpillFrameTriplets,
+                 "spill frames hold 1 to kSpillFrameTriplets rows");
   if (path_.has_parent_path()) {
     std::filesystem::create_directories(path_.parent_path());
   }
@@ -66,7 +57,6 @@ SpillRunWriter::SpillRunWriter(std::filesystem::path path)
   out_.write(kSpillMagic, 4);
   util::writeU32(out_, kSpillVersion);
   util::writeU64(out_, 0);  // triplet count, patched by finish()
-  frame_.reserve(kSpillFrameTriplets);
 }
 
 SpillRunWriter::~SpillRunWriter() {
@@ -88,7 +78,7 @@ void SpillRunWriter::append(const AdjacencyTriplet& triplet) {
   lastKey_ = key;
   any_ = true;
   frame_.push_back(triplet);
-  if (frame_.size() >= kSpillFrameTriplets) {
+  if (frame_.size() >= frameTriplets_) {
     flushFrame();
   }
 }
@@ -103,7 +93,24 @@ void SpillRunWriter::flushFrame() {
   if (frame_.empty()) {
     return;
   }
-  const std::vector<std::byte> payload = encodeFrame(frame_);
+  // A spill row is an AdjacencyTriplet's bytes on little-endian hosts;
+  // elsewhere each row is stored little-endian first.
+  std::span<const std::byte> payload = std::as_bytes(std::span(frame_));
+  std::vector<std::byte> portable;
+  if constexpr (std::endian::native != std::endian::little) {
+    portable.resize(payload.size());
+    std::byte* out = portable.data();
+    for (const AdjacencyTriplet& row : frame_) {
+      for (const std::uint64_t word :
+           {std::uint64_t{row.i}, std::uint64_t{row.j},
+            row.weight & 0xffffffffu, row.weight >> 32}) {
+        for (int shift = 0; shift < 32; shift += 8) {
+          *out++ = static_cast<std::byte>(word >> shift);
+        }
+      }
+    }
+    payload = portable;
+  }
   util::writeU32(out_, static_cast<std::uint32_t>(frame_.size()));
   util::writeU32(out_, util::crc32(payload));
   util::writeBytes(out_, payload);
@@ -128,6 +135,7 @@ SpillRunInfo SpillRunWriter::finish() {
   info.file = path_;
   info.triplets = total_;
   info.bytes = static_cast<std::uint64_t>(std::filesystem::file_size(path_));
+  info.frameTriplets = frameTriplets_;
   info.hasKeyRange = any_;
   info.firstKey = firstKey_;
   info.lastKey = lastKey_;
@@ -136,11 +144,8 @@ SpillRunInfo SpillRunWriter::finish() {
 
 // ---------------------------------------------------------------- reader
 
-SpillRunReader::SpillRunReader(std::filesystem::path path,
-                               SpillReadahead readahead)
-    : path_(std::move(path)),
-      in_(path_, std::ios::binary),
-      readahead_(readahead) {
+SpillRunReader::SpillRunReader(std::filesystem::path path)
+    : path_(std::move(path)), in_(path_, std::ios::binary) {
   CHISIM_CHECK(in_.good(), "cannot open spill run: " + path_.string());
   char magic[4];
   in_.read(magic, 4);
@@ -149,37 +154,6 @@ SpillRunReader::SpillRunReader(std::filesystem::path path,
   CHISIM_CHECK(util::readU32(in_) == kSpillVersion,
                "unsupported spill run version: " + path_.string());
   total_ = util::readU64(in_);
-  frame_.reserve(kSpillFrameTriplets);
-#if defined(__linux__)
-  if (readahead_ == SpillReadahead::kFadvise) {
-    // A side fd carries the kernel hints; the ifstream keeps the read path.
-    hintFd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-    if (hintFd_ >= 0) {
-      posix_fadvise(hintFd_, 0, 0, POSIX_FADV_SEQUENTIAL);
-    }
-  }
-#endif
-  if (readahead_ != SpillReadahead::kNone) {
-    staged_.reserve(kSpillFrameTriplets);
-    // After this point only the prefetcher touches in_ (and hintFd_).
-    prefetcher_ = std::thread([this] { prefetchLoop(); });
-  }
-}
-
-SpillRunReader::~SpillRunReader() {
-  if (prefetcher_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    frameTaken_.notify_all();
-    prefetcher_.join();
-  }
-#if defined(__linux__)
-  if (hintFd_ >= 0) {
-    ::close(hintFd_);
-  }
-#endif
 }
 
 void SpillRunReader::fail(const std::string& what,
@@ -188,10 +162,10 @@ void SpillRunReader::fail(const std::string& what,
                           std::to_string(offset) + ": " + what);
 }
 
-bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
+bool SpillRunReader::readFrame() {
   const std::uint64_t frameOffset =
       static_cast<std::uint64_t>(in_.tellg());
-  unsigned char header[8];
+  std::byte header[8];
   in_.read(reinterpret_cast<char*>(header), 8);
   if (in_.gcount() == 0 && in_.eof()) {
     // Clean end of file at a frame boundary: the header count must agree.
@@ -206,20 +180,20 @@ bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
   if (in_.gcount() != 8) {
     fail("truncated frame header", frameOffset);
   }
-  const auto get32 = [&header](int at) {
-    return static_cast<std::uint32_t>(header[at]) |
-           (static_cast<std::uint32_t>(header[at + 1]) << 8) |
-           (static_cast<std::uint32_t>(header[at + 2]) << 16) |
-           (static_cast<std::uint32_t>(header[at + 3]) << 24);
-  };
-  const std::uint32_t count = get32(0);
-  const std::uint32_t storedCrc = get32(4);
+  const std::uint32_t count = util::loadLe32(header);
+  const std::uint32_t storedCrc = util::loadLe32(header + 4);
   if (count == 0 || count > kSpillFrameTriplets) {
     fail("corrupt frame header: implausible row count " +
              std::to_string(count),
          frameOffset);
   }
-  std::vector<std::byte> payload(count * kTripletBytes);
+  // The frame is read straight into frame_: a spill row has
+  // AdjacencyTriplet's layout on little-endian hosts, so the buffer holds
+  // one frame and nothing else.
+  frame_.resize(count);
+  cursor_ = 0;
+  const std::span<std::byte> payload =
+      std::as_writable_bytes(std::span(frame_));
   in_.read(reinterpret_cast<char*>(payload.data()),
            static_cast<std::streamsize>(payload.size()));
   if (in_.gcount() != static_cast<std::streamsize>(payload.size())) {
@@ -239,96 +213,24 @@ bool SpillRunReader::decodeFrame(std::vector<AdjacencyTriplet>& dest) {
              ")",
          frameOffset);
   }
-  dest.resize(count);
-  std::size_t cursor = 0;
-  const auto take32 = [&payload, &cursor]() {
-    const std::uint32_t value =
-        static_cast<std::uint32_t>(payload[cursor]) |
-        (static_cast<std::uint32_t>(payload[cursor + 1]) << 8) |
-        (static_cast<std::uint32_t>(payload[cursor + 2]) << 16) |
-        (static_cast<std::uint32_t>(payload[cursor + 3]) << 24);
-    cursor += 4;
-    return value;
-  };
-  for (AdjacencyTriplet& row : dest) {
-    row.i = take32();
-    row.j = take32();
-    const std::uint64_t low = take32();
-    const std::uint64_t high = take32();
-    row.weight = low | (high << 32);
+  if constexpr (std::endian::native != std::endian::little) {
+    for (AdjacencyTriplet& row : frame_) {
+      std::byte bytes[kTripletBytes];
+      std::memcpy(bytes, &row, kTripletBytes);
+      row.i = util::loadLe32(bytes);
+      row.j = util::loadLe32(bytes + 4);
+      row.weight = util::loadLe64(bytes + 8);
+    }
   }
-#if defined(__linux__)
-  if (hintFd_ >= 0) {
-    // Ask the kernel to stage the next frame while this one is consumed:
-    // readahead depth 2 in total (one frame in the double buffer, one in
-    // the page cache).
-    posix_fadvise(hintFd_, static_cast<off_t>(in_.tellg()),
-                  static_cast<off_t>(kSpillFrameTriplets * kTripletBytes + 8),
-                  POSIX_FADV_WILLNEED);
-  }
-#endif
   return true;
 }
 
-void SpillRunReader::prefetchLoop() {
-  try {
-    std::vector<AdjacencyTriplet> local;
-    local.reserve(kSpillFrameTriplets);
-    for (;;) {
-      local.clear();
-      if (!decodeFrame(local)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        producerDone_ = true;
-        frameReady_.notify_all();
-        return;
-      }
-      std::unique_lock<std::mutex> lock(mutex_);
-      frameTaken_.wait(lock, [this] { return !stagedFull_ || stop_; });
-      if (stop_) {
-        return;
-      }
-      staged_.swap(local);
-      stagedFull_ = true;
-      frameReady_.notify_all();
-    }
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    producerError_ = std::current_exception();
-    producerDone_ = true;
-    frameReady_.notify_all();
-  }
-}
-
 bool SpillRunReader::next(AdjacencyTriplet& out) {
-  while (cursor_ >= frame_.size()) {
-    if (readahead_ == SpillReadahead::kNone) {
-      if (exhausted_) {
-        return false;
-      }
-      frame_.clear();
-      cursor_ = 0;
-      if (!decodeFrame(frame_)) {
-        exhausted_ = true;
-        return false;
-      }
-      continue;
+  if (cursor_ >= frame_.size()) {
+    if (exhausted_ || !readFrame()) {
+      exhausted_ = true;
+      return false;
     }
-    std::unique_lock<std::mutex> lock(mutex_);
-    frameReady_.wait(lock, [this] { return stagedFull_ || producerDone_; });
-    if (stagedFull_) {
-      frame_.swap(staged_);
-      staged_.clear();
-      stagedFull_ = false;
-      cursor_ = 0;
-      frameTaken_.notify_all();
-      continue;
-    }
-    // Producer finished: surface its error on the consumer thread, or a
-    // clean end of stream.
-    if (producerError_) {
-      std::rethrow_exception(producerError_);
-    }
-    return false;
   }
   out = frame_[cursor_++];
   return true;
@@ -341,7 +243,6 @@ SpillingAccumulator::SpillingAccumulator(Options options)
   CHISIM_REQUIRE(!options_.dir.empty(),
                  "a spilling accumulator needs a run directory");
   CHISIM_REQUIRE(options_.rowsPerShard >= 1, "rowsPerShard must be >= 1");
-  CHISIM_REQUIRE(options_.maxLiveRuns >= 2, "maxLiveRuns must be >= 2");
   std::filesystem::create_directories(options_.dir);
   if (options_.budgetBytes > 0) {
     spillThreshold_ =
@@ -351,7 +252,7 @@ SpillingAccumulator::SpillingAccumulator(Options options)
   // already in the directory (adopted checkpoint runs keep their names).
   for (const auto& entry : std::filesystem::directory_iterator(options_.dir)) {
     const std::string name = entry.path().filename().string();
-    if (!name.starts_with(options_.runPrefix)) {
+    if (!name.starts_with(kRunPrefix)) {
       continue;
     }
     if (name.ends_with(".spl.tmp")) {
@@ -366,8 +267,7 @@ SpillingAccumulator::SpillingAccumulator(Options options)
       continue;
     }
     const std::string middle = name.substr(
-        options_.runPrefix.size(),
-        name.size() - options_.runPrefix.size() - 4);
+        kRunPrefix.size(), name.size() - kRunPrefix.size() - 4);
     std::uint64_t index = 0;
     const auto [ptr, ec] =
         std::from_chars(middle.data(), middle.data() + middle.size(), index);
@@ -379,7 +279,7 @@ SpillingAccumulator::SpillingAccumulator(Options options)
 
 std::filesystem::path SpillingAccumulator::nextRunPath() {
   return options_.dir /
-         (options_.runPrefix + std::to_string(nextRunIndex_++) + ".spl");
+         (std::string(kRunPrefix) + std::to_string(nextRunIndex_++) + ".spl");
 }
 
 void SpillingAccumulator::notePeak(std::uint64_t extraBytes) noexcept {
@@ -436,7 +336,6 @@ void SpillingAccumulator::adoptRunFile(const SpillRunInfo& info) {
   ++stats_.runsWritten;
   stats_.spilledTriplets += info.triplets;
   stats_.spilledBytes += info.bytes;
-  maybeCompact();
 }
 
 void SpillingAccumulator::restoreRunFile(const SpillRunInfo& info) {
@@ -446,11 +345,9 @@ void SpillingAccumulator::restoreRunFile(const SpillRunInfo& info) {
   // Restored runs are prior-life state, not this run's spill activity:
   // they count toward the live set but not the written/spilled counters.
   runs_.push_back(info);
-  maybeCompact();
 }
 
-void SpillingAccumulator::spillShard(std::uint32_t shard,
-                                     PairCountMap& pairs) {
+void SpillingAccumulator::spillShard(PairCountMap& pairs) {
   if (pairs.empty()) {
     return;
   }
@@ -470,10 +367,9 @@ void SpillingAccumulator::spillShard(std::uint32_t shard,
   pairs = PairCountMap(16);
   residentBytes_ += pairs.memoryBytes();
 
-  SpillRunWriter writer(nextRunPath());
+  SpillRunWriter writer(nextRunPath(), options_.frameTriplets);
   writer.append(std::span<const AdjacencyTriplet>(triplets));
   const SpillRunInfo info = writer.finish();
-  (void)shard;
   runs_.push_back(info);
   ++stats_.runsWritten;
   stats_.spilledTriplets += info.triplets;
@@ -482,13 +378,10 @@ void SpillingAccumulator::spillShard(std::uint32_t shard,
 
 void SpillingAccumulator::spillAll() {
   for (auto& [shard, pairs] : shards_) {
-    spillShard(shard, pairs);
-  }
-  for (const auto& [shard, pairs] : shards_) {
+    spillShard(pairs);
     residentBytes_ -= pairs.memoryBytes();
   }
   shards_.clear();
-  maybeCompact();
 }
 
 void SpillingAccumulator::retireRunFile(std::filesystem::path file) {
@@ -498,80 +391,6 @@ void SpillingAccumulator::retireRunFile(std::filesystem::path file) {
     std::error_code ignored;
     std::filesystem::remove(file, ignored);
   }
-}
-
-void SpillingAccumulator::maybeCompact() {
-  // Compaction is per shard group: runs that cover a single reduce shard
-  // only ever merge with runs of the same shard, so the shard-ownership
-  // invariant survives compaction and a later sharded merge still sees
-  // shard-pure inputs. Runs without a known shard (legacy manifests,
-  // pre-split compactions) pool in a catch-all group.
-  std::map<std::int64_t, std::vector<std::size_t>> groups;
-  for (std::size_t at = 0; at < runs_.size(); ++at) {
-    groups[runs_[at].shardOf(options_.rowsPerShard)].push_back(at);
-  }
-  // The bound compaction enforces is per-group merge fan-in, not global
-  // file count: a sharded merge opens one group at a time, so a global
-  // trigger that rewrites every group whenever the total run count trips
-  // makes compaction IO scale with the shard count for no fan-in benefit
-  // (each cycle re-reads and re-writes nearly all spilled data). Compact
-  // exactly the groups whose own member count exceeds maxLiveRuns and
-  // leave the rest untouched; with one group this is the legacy global
-  // trigger.
-  bool oversized = false;
-  for (const auto& [shard, members] : groups) {
-    if (members.size() > options_.maxLiveRuns) {
-      oversized = true;
-      break;
-    }
-  }
-  if (!oversized) {
-    return;
-  }
-  runtime::fault::hit("spill.merge");
-  ++stats_.compactions;
-  std::vector<SpillRunInfo> survivors;
-  survivors.reserve(runs_.size());
-  for (auto& [shard, members] : groups) {
-    if (members.size() <= options_.maxLiveRuns) {
-      for (const std::size_t at : members) {
-        survivors.push_back(std::move(runs_[at]));
-      }
-      continue;
-    }
-    std::vector<std::unique_ptr<TripletSource>> readers;
-    readers.reserve(members.size());
-    for (const std::size_t at : members) {
-      readers.push_back(std::make_unique<SpillRunReader>(runs_[at].file));
-    }
-    TripletMerger merger(std::move(readers));
-    SpillRunWriter writer(nextRunPath());
-    AdjacencyTriplet triplet;
-    while (merger.next(triplet)) {
-      writer.append(triplet);
-    }
-    const SpillRunInfo compacted = writer.finish();
-    // The inputs are superseded; under deferDeletes they stay on disk until
-    // the caller's next checkpoint manifest no longer references them.
-    for (const std::size_t at : members) {
-      retireRunFile(std::move(runs_[at].file));
-    }
-    survivors.push_back(compacted);
-    ++stats_.runsWritten;
-    stats_.spilledTriplets += compacted.triplets;
-    stats_.spilledBytes += compacted.bytes;
-  }
-  runs_ = std::move(survivors);
-}
-
-std::unique_ptr<TripletSource> SpillingAccumulator::finishMerge() {
-  spillAll();
-  std::vector<std::unique_ptr<TripletSource>> readers;
-  readers.reserve(runs_.size());
-  for (const SpillRunInfo& run : runs_) {
-    readers.push_back(std::make_unique<SpillRunReader>(run.file));
-  }
-  return std::make_unique<TripletMerger>(std::move(readers));
 }
 
 void SpillingAccumulator::splitRun(const SpillRunInfo& run,
@@ -596,7 +415,8 @@ void SpillingAccumulator::splitRun(const SpillRunInfo& run,
         static_cast<std::int64_t>(triplet.i / options_.rowsPerShard);
     if (shard != currentShard) {
       finishPart();
-      writer = std::make_unique<SpillRunWriter>(nextRunPath());
+      writer = std::make_unique<SpillRunWriter>(nextRunPath(),
+                                                options_.frameTriplets);
       currentShard = shard;
     }
     writer->append(triplet);
@@ -650,10 +470,12 @@ std::vector<std::filesystem::path> SpillingAccumulator::takeRetiredFiles() {
 
 SpillingSum::SpillingSum(std::filesystem::path dir, std::string filePrefix,
                          std::uint64_t flushThresholdBytes,
-                         std::uint32_t splitRows)
+                         std::uint32_t splitRows, std::uint64_t frameTriplets)
     : dir_(std::move(dir)),
       filePrefix_(std::move(filePrefix)),
-      splitRows_(splitRows) {
+      splitRows_(splitRows),
+      frameTriplets_(frameTriplets) {
+  CHISIM_REQUIRE(splitRows_ >= 1, "splitRows must be >= 1");
   if (flushThresholdBytes > 0) {
     flushEntries_ = PairCountMap::maxEntriesWithin(
         std::max(flushThresholdBytes, kMinSpillThresholdBytes));
@@ -676,27 +498,24 @@ void SpillingSum::flush() {
     return;
   }
   const std::vector<AdjacencyTriplet> triplets = drainInMemory();
-  // With splitRows_ the sorted flush is partitioned at reduce-shard
-  // boundaries into shard-pure runs, so the sink can route each run
-  // straight to its shard owner without a split-and-rewrite pass.
+  // The sorted flush is partitioned at reduce-shard boundaries into
+  // shard-pure runs, so the sink can route each run straight to its shard
+  // owner without a split-and-rewrite pass.
   std::size_t begin = 0;
   while (begin < triplets.size()) {
-    std::size_t end = triplets.size();
-    if (splitRows_ > 0) {
-      const std::uint32_t shard = triplets[begin].i / splitRows_;
-      end = begin + 1;
-      while (end < triplets.size() && triplets[end].i / splitRows_ == shard) {
-        ++end;
-      }
+    const std::uint32_t shard = triplets[begin].i / splitRows_;
+    std::size_t end = begin + 1;
+    while (end < triplets.size() && triplets[end].i / splitRows_ == shard) {
+      ++end;
     }
     SpillRunWriter writer(
-        dir_ / (filePrefix_ + std::to_string(nextRunIndex_++) + ".spl"));
+        dir_ / (filePrefix_ + std::to_string(nextRunIndex_++) + ".spl"),
+        frameTriplets_);
     writer.append(std::span<const AdjacencyTriplet>(triplets.data() + begin,
                                                     end - begin));
     runs_.push_back(writer.finish());
     begin = end;
   }
-  ++flushes_;
 }
 
 const AdjacencyKernelStats& SpillingSum::kernelStats() const noexcept {
@@ -715,35 +534,164 @@ std::vector<AdjacencyTriplet> SpillingSum::drainInMemory() {
   return triplets;
 }
 
-void SpillingSum::flushAll() {
-  flush();
+// -------------------------------------------------------- shard merge
+
+std::uint64_t spillReaderBytes(const SpillRunInfo& run) noexcept {
+  return std::min(run.triplets, run.frameTriplets) * kTripletBytes;
 }
 
-// -------------------------------------------------------- shard merge
+std::uint64_t spillFrameTripletsWithin(std::uint64_t readerBudget) noexcept {
+  return std::clamp<std::uint64_t>(readerBudget / (16 * kTripletBytes), 1,
+                                   kSpillFrameTriplets);
+}
+
+void SpillStats::addSegment(const ShardSegment& segment) noexcept {
+  runsWritten += segment.passes;
+  spilledTriplets += segment.passTriplets;
+  spilledBytes += segment.passBytes;
+  compactions += segment.passes;
+  peakMergeReaderBytes =
+      std::max(peakMergeReaderBytes, segment.peakReaderBytes);
+}
+
+namespace {
+
+/// The next intermediate pass of an owner's merge: the smallest runs (by
+/// reader bytes, then rows) whose readers fit in `readerBudget`, stopping
+/// as soon as merging them into a run of `passFrame`-row frames frees
+/// enough reader bytes for the rest to fit. At least two runs; indices
+/// into `runs`.
+std::vector<std::size_t> pickPass(const std::vector<SpillRunInfo>& runs,
+                                  std::uint64_t openBytes,
+                                  std::uint64_t readerBudget,
+                                  std::uint64_t passFrame) {
+  std::vector<std::size_t> order(runs.size());
+  for (std::size_t at = 0; at < order.size(); ++at) {
+    order[at] = at;
+  }
+  std::sort(order.begin(), order.end(), [&runs](std::size_t a, std::size_t b) {
+    const std::uint64_t bytesA = spillReaderBytes(runs[a]);
+    const std::uint64_t bytesB = spillReaderBytes(runs[b]);
+    return bytesA != bytesB ? bytesA < bytesB
+                            : runs[a].triplets < runs[b].triplets;
+  });
+  const std::uint64_t excess = openBytes - readerBudget;
+  std::vector<std::size_t> pass;
+  std::uint64_t passBytes = 0;
+  std::uint64_t passTriplets = 0;
+  for (const std::size_t at : order) {
+    const std::uint64_t bytes = spillReaderBytes(runs[at]);
+    if (pass.size() >= 2 && passBytes + bytes > readerBudget) {
+      break;
+    }
+    pass.push_back(at);
+    passBytes += bytes;
+    passTriplets += runs[at].triplets;
+    // The merged run's reader holds at most one frame of the summed rows.
+    const std::uint64_t merged =
+        std::min(passTriplets, passFrame) * kTripletBytes;
+    if (pass.size() >= 2 && passBytes - merged >= excess) {
+      break;
+    }
+  }
+  return pass;
+}
+
+std::vector<std::unique_ptr<TripletSource>> openRuns(
+    std::span<const SpillRunInfo> runs) {
+  std::vector<std::unique_ptr<TripletSource>> readers;
+  readers.reserve(runs.size());
+  for (const SpillRunInfo& run : runs) {
+    readers.push_back(std::make_unique<SpillRunReader>(run.file));
+  }
+  return readers;
+}
+
+}  // namespace
 
 ShardSegment mergeShardRuns(std::uint32_t shard,
                             std::span<const SpillRunInfo> runs,
                             const std::filesystem::path& segmentFile,
-                            SpillReadahead readahead) {
+                            std::uint64_t readerBudget) {
   util::ThreadCpuTimer timer;
-  std::vector<std::unique_ptr<TripletSource>> readers;
-  readers.reserve(runs.size());
-  for (const SpillRunInfo& run : runs) {
-    readers.push_back(std::make_unique<SpillRunReader>(run.file, readahead));
-  }
-  TripletMerger merger(std::move(readers));
-  TripletSegmentWriter writer(segmentFile);
-  AdjacencyTriplet triplet;
-  while (merger.next(triplet)) {
-    writer.append(triplet);
-  }
-  const TripletSegmentInfo info = writer.finish();
   ShardSegment segment;
   segment.shard = shard;
   segment.file = segmentFile;
-  segment.triplets = info.triplets;
-  segment.bytes = info.bytes;
-  segment.crc = info.crc;
+  std::vector<SpillRunInfo> live(runs.begin(), runs.end());
+  // Intermediate runs are this merge's own files: deleted once consumed,
+  // or on failure.
+  std::vector<std::filesystem::path> intermediates;
+  const auto isIntermediate = [&intermediates](const SpillRunInfo& run) {
+    return std::find(intermediates.begin(), intermediates.end(), run.file) !=
+           intermediates.end();
+  };
+  const std::uint64_t passFrame = spillFrameTripletsWithin(readerBudget);
+  try {
+    std::uint64_t openBytes = 0;
+    for (const SpillRunInfo& run : live) {
+      openBytes += spillReaderBytes(run);
+    }
+    while (live.size() > 2 && openBytes > readerBudget) {
+      runtime::fault::hit("spill.merge");
+      const std::vector<std::size_t> pick =
+          pickPass(live, openBytes, readerBudget, passFrame);
+      std::vector<SpillRunInfo> inputs;
+      std::vector<SpillRunInfo> rest;
+      std::uint64_t passBytes = 0;
+      for (std::size_t at = 0; at < live.size(); ++at) {
+        if (std::find(pick.begin(), pick.end(), at) != pick.end()) {
+          passBytes += spillReaderBytes(live[at]);
+          inputs.push_back(std::move(live[at]));
+        } else {
+          rest.push_back(std::move(live[at]));
+        }
+      }
+      segment.peakReaderBytes = std::max(segment.peakReaderBytes, passBytes);
+      TripletMerger merger(openRuns(inputs));
+      SpillRunWriter writer(
+          segmentFile.string() + ".p" + std::to_string(segment.passes) +
+              ".spl",
+          passFrame);
+      AdjacencyTriplet triplet;
+      while (merger.next(triplet)) {
+        writer.append(triplet);
+      }
+      const SpillRunInfo merged = writer.finish();
+      intermediates.push_back(merged.file);
+      ++segment.passes;
+      segment.passTriplets += merged.triplets;
+      segment.passBytes += merged.bytes;
+      for (const SpillRunInfo& input : inputs) {
+        if (isIntermediate(input)) {
+          std::filesystem::remove(input.file);
+        }
+      }
+      openBytes = openBytes - passBytes + spillReaderBytes(merged);
+      rest.push_back(merged);
+      live = std::move(rest);
+    }
+    segment.peakReaderBytes = std::max(segment.peakReaderBytes, openBytes);
+    TripletMerger merger(openRuns(live));
+    TripletSegmentWriter writer(segmentFile);
+    AdjacencyTriplet triplet;
+    while (merger.next(triplet)) {
+      writer.append(triplet);
+    }
+    const TripletSegmentInfo info = writer.finish();
+    segment.triplets = info.triplets;
+    segment.bytes = info.bytes;
+    segment.crc = info.crc;
+  } catch (...) {
+    for (const std::filesystem::path& file : intermediates) {
+      std::error_code ignored;
+      std::filesystem::remove(file, ignored);
+    }
+    throw;
+  }
+  for (const std::filesystem::path& file : intermediates) {
+    std::error_code ignored;
+    std::filesystem::remove(file, ignored);
+  }
   segment.mergeSeconds = timer.seconds();
   return segment;
 }

@@ -1,15 +1,12 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chisimnet/sparse/adjacency.hpp"
@@ -35,15 +32,23 @@
 ///
 /// Fault sites: "spill.write" fires in SpillRunWriter::finish() before the
 /// rename (a kThrow models a crash mid-spill, leaving the .tmp orphan);
-/// "spill.merge" fires when SpillingAccumulator compacts its live runs.
+/// "spill.merge" fires before each intermediate pass of an owner's shard
+/// merge (mergeShardRuns).
 
 namespace chisimnet::sparse {
+
+/// Largest number of triplets per CRC frame (64 Ki rows = 1 MiB payload):
+/// the unit of both the writer's buffering and the reader's resident
+/// window.
+inline constexpr std::size_t kSpillFrameTriplets = std::size_t{1} << 16;
 
 /// A completed on-disk sorted run.
 struct SpillRunInfo {
   std::filesystem::path file;
   std::uint64_t triplets = 0;
   std::uint64_t bytes = 0;  ///< file size, for budget/IO accounting
+  /// Rows per frame the writer used (its last frame may hold fewer).
+  std::uint64_t frameTriplets = kSpillFrameTriplets;
   /// Packed-key range the run covers, when known. Writer-produced runs
   /// always know it; runs restored from a pre-range checkpoint manifest do
   /// not (hasKeyRange = false) and are treated as potentially straddling
@@ -67,29 +72,25 @@ struct SpillRunInfo {
   }
 };
 
-/// Read-side prefetch policy for SpillRunReader during external merges.
-enum class SpillReadahead : std::uint32_t {
-  /// Synchronous single-frame reads (the pre-readahead behavior).
-  kNone = 0,
-  /// Double-buffered: a background thread decodes and CRC-checks the next
-  /// frame while the merge drains the current one, so merge wall-time
-  /// tracks disk bandwidth instead of single-frame latency.
-  kDoubleBuffer = 1,
-  /// kDoubleBuffer plus kernel IO hints on a side fd: POSIX_FADV_SEQUENTIAL
-  /// at open and POSIX_FADV_WILLNEED ahead of each frame read (no-op on
-  /// platforms without posix_fadvise). An O_DIRECT page-cache-bypass flavor
-  /// is the designed next plug point if merge IO ever dominates here.
-  kFadvise = 2,
-};
+/// Global rows (low person ids) per row-range shard: the unit the spill
+/// runs are split by at flush time and the unit an owner merges.
+inline constexpr std::uint32_t kMergeRowsPerShard = std::uint32_t{1} << 14;
 
-/// Triplets per CRC frame (64 Ki rows = 1 MiB payload): the unit of both
-/// the writer's buffering and the reader's resident window.
-inline constexpr std::size_t kSpillFrameTriplets = std::size_t{1} << 16;
+/// Resident bytes of an open SpillRunReader over `run`: its frame buffer,
+/// which grows to the run's largest frame.
+std::uint64_t spillReaderBytes(const SpillRunInfo& run) noexcept;
 
-/// Streams a strictly key-ascending triplet run into a CSPL1 file.
+/// Rows per frame for runs an owner with `readerBudget` bytes of open
+/// readers will merge: a sixteenth of the budget (1..kSpillFrameTriplets
+/// rows), so any sixteen such runs fit one merge pass.
+std::uint64_t spillFrameTripletsWithin(std::uint64_t readerBudget) noexcept;
+
+/// Streams a strictly key-ascending triplet run into a CSPL1 file, in
+/// frames of `frameTriplets` rows (1..kSpillFrameTriplets).
 class SpillRunWriter {
  public:
-  explicit SpillRunWriter(std::filesystem::path path);
+  explicit SpillRunWriter(std::filesystem::path path,
+                          std::uint64_t frameTriplets = kSpillFrameTriplets);
   ~SpillRunWriter();
 
   SpillRunWriter(const SpillRunWriter&) = delete;
@@ -107,6 +108,7 @@ class SpillRunWriter {
   std::filesystem::path path_;
   std::filesystem::path tmp_;
   std::ofstream out_;
+  std::uint64_t frameTriplets_;
   std::vector<AdjacencyTriplet> frame_;
   std::uint64_t total_ = 0;
   std::uint64_t firstKey_ = 0;
@@ -115,17 +117,13 @@ class SpillRunWriter {
   bool finished_ = false;
 };
 
-/// Streams a CSPL1 run back, one CRC-checked frame resident at a time.
-/// With a readahead mode, a background prefetcher decodes the *next* frame
-/// into a standby buffer while the consumer drains the current one (double
-/// buffering: exactly one frame in flight), optionally backed by
-/// posix_fadvise hints — so a k-way merge's per-run stalls overlap instead
-/// of serializing.
+/// Streams a CSPL1 run back, one CRC-checked frame resident at a time:
+/// the frame buffer (spillReaderBytes) is all the memory a reader holds.
+/// Reads are synchronous; a double-buffered prefetch thread per reader
+/// measured no faster on the owner merge (DESIGN.md §3.9).
 class SpillRunReader final : public TripletSource {
  public:
-  explicit SpillRunReader(std::filesystem::path path,
-                          SpillReadahead readahead = SpillReadahead::kNone);
-  ~SpillRunReader() override;
+  explicit SpillRunReader(std::filesystem::path path);
 
   bool next(AdjacencyTriplet& out) override;
 
@@ -134,12 +132,9 @@ class SpillRunReader final : public TripletSource {
   std::uint64_t sizeHint() const noexcept override { return total_; }
 
  private:
-  /// Reads, CRC-checks and decodes one frame into `dest`; false on a clean
-  /// end of file (after validating the header count). Called only by the
-  /// owning read context: the consumer in kNone mode, the prefetcher
-  /// thread otherwise.
-  bool decodeFrame(std::vector<AdjacencyTriplet>& dest);
-  void prefetchLoop();
+  /// Reads and CRC-checks the next frame into frame_; false on a clean end
+  /// of file (after validating the header count).
+  bool readFrame();
   [[noreturn]] void fail(const std::string& what, std::uint64_t offset) const;
 
   std::filesystem::path path_;
@@ -149,19 +144,26 @@ class SpillRunReader final : public TripletSource {
   std::uint64_t total_ = 0;
   std::uint64_t decoded_ = 0;
   bool exhausted_ = false;
+};
 
-  // Double-buffer machinery (readahead modes only).
-  SpillReadahead readahead_ = SpillReadahead::kNone;
-  std::thread prefetcher_;
-  std::mutex mutex_;
-  std::condition_variable frameReady_;
-  std::condition_variable frameTaken_;
-  std::vector<AdjacencyTriplet> staged_;
-  bool stagedFull_ = false;
-  bool producerDone_ = false;
-  bool stop_ = false;
-  std::exception_ptr producerError_;
-  int hintFd_ = -1;
+/// One finished per-shard merge: the shard's duplicate-summed sorted
+/// stream as a raw CADJ payload segment on disk (TripletSegmentWriter
+/// format), plus what its owner's passes cost.
+struct ShardSegment {
+  std::uint32_t shard = 0;
+  std::filesystem::path file;
+  std::uint64_t triplets = 0;
+  std::uint64_t bytes = 0;
+  std::uint32_t crc = 0;
+  /// Thread-CPU seconds of this shard's merge, all passes.
+  double mergeSeconds = 0.0;
+  unsigned owner = 0;  ///< worker index / rank that ran the merge
+  /// Intermediate passes (each wrote one CSPL run) before the final one.
+  std::uint64_t passes = 0;
+  std::uint64_t passTriplets = 0;  ///< rows those passes wrote
+  std::uint64_t passBytes = 0;     ///< run-file bytes those passes wrote
+  /// Largest Σ spillReaderBytes over the runs one pass held open.
+  std::uint64_t peakReaderBytes = 0;
 };
 
 /// Spill activity counters, folded into SynthesisReport.
@@ -169,7 +171,8 @@ struct SpillStats {
   std::uint64_t runsWritten = 0;      ///< run files produced (incl. adopted)
   std::uint64_t spilledTriplets = 0;  ///< triplet rows that went to disk
   std::uint64_t spilledBytes = 0;     ///< run file bytes written
-  std::uint64_t compactions = 0;      ///< live-run merges (spill.merge)
+  /// Intermediate owner merge passes (spill.merge).
+  std::uint64_t compactions = 0;
   /// Runs rewritten at shard boundaries because they straddled one (or had
   /// no recorded key range) when a per-shard merge plan was built.
   std::uint64_t runsSplit = 0;
@@ -182,20 +185,14 @@ struct SpillStats {
   /// bounded by each worker's flush threshold plus the largest single
   /// place's pair block (per-place kernels cannot flush mid-place).
   std::uint64_t peakWorkerBytes = 0;
+  /// Largest reader bytes any one merge owner held open at once. Owners
+  /// merge their shards one pass at a time, so this is the max over
+  /// segments of ShardSegment::peakReaderBytes; the merge keeps it within
+  /// the owner's share of the budget.
+  std::uint64_t peakMergeReaderBytes = 0;
 
-  void merge(const SpillStats& other) noexcept {
-    runsWritten += other.runsWritten;
-    spilledTriplets += other.spilledTriplets;
-    spilledBytes += other.spilledBytes;
-    compactions += other.compactions;
-    runsSplit += other.runsSplit;
-    peakResidentBytes = peakResidentBytes > other.peakResidentBytes
-                            ? peakResidentBytes
-                            : other.peakResidentBytes;
-    peakWorkerBytes = peakWorkerBytes > other.peakWorkerBytes
-                          ? peakWorkerBytes
-                          : other.peakWorkerBytes;
-  }
+  /// Counts an owner's intermediate passes as spill activity.
+  void addSegment(const ShardSegment& segment) noexcept;
 };
 
 /// The memory-bounded cross-batch accumulator: pair counts are sharded by
@@ -203,9 +200,10 @@ struct SpillStats {
 /// tracked against the budget, and when the next insert would grow a shard
 /// past the spill threshold every shard is sorted and spilled as one run
 /// per shard. Spilled runs cover disjoint key ranges within one flush and
-/// overlapping ranges across flushes; the final merge (TripletMerger over
-/// SpillRunReaders) sums duplicates, so the drained stream equals the
-/// unbounded accumulator's sorted triplets bit for bit.
+/// overlapping ranges across flushes. The accumulator never merges: the
+/// shard owners' merges (mergeShardRuns over buildShardMergePlan) sum
+/// duplicates, so their output equals the unbounded accumulator's sorted
+/// triplets bit for bit.
 class SpillingAccumulator {
  public:
   struct Options {
@@ -218,13 +216,10 @@ class SpillingAccumulator {
     /// kMinSpillThresholdBytes makes irrelevant for budgets ≥ a few MiB.
     std::uint64_t budgetBytes = 0;
     /// Global rows (low person ids) per shard.
-    std::uint32_t rowsPerShard = std::uint32_t{1} << 18;
-    /// Compact (k-way merge all live runs into one) above this many runs.
-    std::size_t maxLiveRuns = 32;
-    /// Run files are named <runPrefix><n>.spl; numbering resumes above any
-    /// existing files with this prefix in dir.
-    std::string runPrefix = "run.";
-    /// true: superseded compaction inputs are retired (takeRetiredFiles)
+    std::uint32_t rowsPerShard = kMergeRowsPerShard;
+    /// Rows per frame of the runs this accumulator writes.
+    std::uint64_t frameTriplets = kSpillFrameTriplets;
+    /// true: runs superseded by a split are retired (takeRetiredFiles)
     /// instead of deleted, so a checkpoint manifest that still references
     /// them stays valid until the next manifest rename.
     bool deferDeletes = false;
@@ -238,7 +233,8 @@ class SpillingAccumulator {
   void add(std::uint32_t i, std::uint32_t j, std::uint64_t weight);
   void addSortedRun(std::span<const AdjacencyTriplet> run);
   /// Takes ownership of an existing run file (a stage-5 worker spill) by
-  /// renaming it into this accumulator's own <runPrefix><n>.spl namespace.
+  /// renaming it into this accumulator's own run.<n>.spl namespace (the
+  /// numbering resumes above any run.<n>.spl already in the directory).
   /// The rename matters for checkpointing: worker file names restart from
   /// zero after a resume (batch counters, command tokens), so a
   /// manifest-referenced run left under its worker name would get
@@ -265,13 +261,8 @@ class SpillingAccumulator {
 
   /// Spills every resident shard to disk (one sorted run per shard).
   /// Afterwards the full accumulated state is the live run files — what a
-  /// checkpoint persists and what finishMerge() streams.
+  /// checkpoint persists and what the owners merge.
   void spillAll();
-
-  /// Spills residual shards, then returns the external-memory k-way merge
-  /// over all live runs: the final sorted, duplicate-summed stream. The
-  /// accumulator must not be modified while the stream is being drained.
-  std::unique_ptr<TripletSource> finishMerge();
 
   /// One row-range shard's slice of the merge plan: every live run whose
   /// keys fall in that shard. Groups come back in ascending shard order,
@@ -293,7 +284,7 @@ class SpillingAccumulator {
   std::vector<ShardRunGroup> buildShardMergePlan();
 
   const std::vector<SpillRunInfo>& liveRuns() const noexcept { return runs_; }
-  /// Compaction inputs superseded since the last call (deferDeletes mode);
+  /// Split originals superseded since the last call (deferDeletes mode);
   /// the caller deletes them once its manifest no longer references them.
   std::vector<std::filesystem::path> takeRetiredFiles();
 
@@ -301,8 +292,7 @@ class SpillingAccumulator {
   const SpillStats& stats() const noexcept { return stats_; }
 
  private:
-  void spillShard(std::uint32_t shard, PairCountMap& pairs);
-  void maybeCompact();
+  void spillShard(PairCountMap& pairs);
   /// Rewrites one run as shard-pure runs (appended to `out`); retires or
   /// deletes the original.
   void splitRun(const SpillRunInfo& run, std::vector<SpillRunInfo>& out);
@@ -334,26 +324,24 @@ class SpillingAccumulator {
 class SpillingSum {
  public:
   /// flushThresholdBytes 0 = never flush (plain in-memory sum).
-  /// splitRows > 0 routes spills to their reduce-shard owners at flush
-  /// time: each flush is partitioned at row-range boundaries (shard =
-  /// low id / splitRows) and written as one shard-pure run per touched
-  /// shard, so the sink can hand every run to its owner without a
-  /// split-and-rewrite pass before the parallel merge.
+  /// Spills are routed to their reduce-shard owners at flush time: each
+  /// flush is partitioned at row-range boundaries (shard = low id /
+  /// splitRows) and written as one shard-pure run per touched shard, so
+  /// the sink can hand every run to its owner without a split-and-rewrite
+  /// pass before the merge.
   SpillingSum(std::filesystem::path dir, std::string filePrefix,
-              std::uint64_t flushThresholdBytes, std::uint32_t splitRows = 0);
+              std::uint64_t flushThresholdBytes, std::uint32_t splitRows,
+              std::uint64_t frameTriplets = kSpillFrameTriplets);
 
   void addCollocation(const CollocationMatrix& matrix, AdjacencyMethod method);
 
   const AdjacencyKernelStats& kernelStats() const noexcept;
   /// Max in-memory bytes observed (map plus flush-sort transient).
   std::uint64_t peakBytes() const noexcept { return peakBytes_; }
-  std::uint64_t flushes() const noexcept { return flushes_; }
 
   const std::vector<SpillRunInfo>& runs() const noexcept { return runs_; }
   /// The not-yet-flushed remainder as a sorted run; resets the sum.
   std::vector<AdjacencyTriplet> drainInMemory();
-  /// Flushes the remainder to disk too, leaving only run files.
-  void flushAll();
 
  private:
   void flush();
@@ -365,37 +353,30 @@ class SpillingSum {
   /// the sharded tables' bytes, so the flush points do not depend on how
   /// the sum happens to be sharded.
   std::uint64_t flushEntries_ = 0;
-  std::uint32_t splitRows_ = 0;
+  std::uint32_t splitRows_ = 1;
+  std::uint64_t frameTriplets_ = kSpillFrameTriplets;
   SymmetricAdjacency sum_;
   std::vector<SpillRunInfo> runs_;
   std::uint64_t nextRunIndex_ = 0;
   std::uint64_t peakBytes_ = 0;
-  std::uint64_t flushes_ = 0;
 };
 
-/// One finished per-shard merge: the shard's duplicate-summed sorted
-/// stream as a raw CADJ payload segment on disk (TripletSegmentWriter
-/// format), plus the timing the shard-scaling bench and report aggregate.
-struct ShardSegment {
-  std::uint32_t shard = 0;
-  std::filesystem::path file;
-  std::uint64_t triplets = 0;
-  std::uint64_t bytes = 0;
-  std::uint32_t crc = 0;
-  /// Thread-CPU seconds of this shard's merge. Per-owner sums of these
-  /// model the parallel critical path on one-core hosts.
-  double mergeSeconds = 0.0;
-  unsigned owner = 0;  ///< worker index / rank that ran the merge
-};
-
-/// Runs one shard's independent loser-tree merge over its (shard-pure)
-/// runs, streaming the result into `segmentFile` (tmp+rename). This is
-/// the unit of work a shard owner — worker thread or rank — executes; the
-/// final CADJ is the byte-identical concatenation of the resulting
-/// segments in ascending shard order.
+/// Merges one shard's (shard-pure) runs into `segmentFile` (tmp+rename):
+/// the unit of work a shard owner — worker thread or rank — executes. The
+/// final CADJ is the byte-identical concatenation of the segments in
+/// ascending shard order. The merge runs in passes whose open readers hold
+/// at most `readerBudget` bytes (Σ spillReaderBytes): while the runs do
+/// not fit, the smallest runs that fit — just enough of them to make the
+/// rest fit — are merged into one intermediate CSPL run next to the
+/// segment (`<segment>.p<n>.spl`, deleted once consumed), and the last
+/// pass writes the segment. Intermediate runs use the frames of
+/// spillFrameTripletsWithin(readerBudget). A pass always takes at least
+/// two runs, so the bound holds whenever the budget covers the two
+/// smallest inputs' frames — always, for inputs written with those
+/// frames. The inputs are left in place.
 ShardSegment mergeShardRuns(std::uint32_t shard,
                             std::span<const SpillRunInfo> runs,
                             const std::filesystem::path& segmentFile,
-                            SpillReadahead readahead);
+                            std::uint64_t readerBudget);
 
 }  // namespace chisimnet::sparse

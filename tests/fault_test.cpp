@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -19,6 +20,7 @@
 #include "chisimnet/runtime/comm.hpp"
 #include "chisimnet/runtime/fault.hpp"
 #include "chisimnet/runtime/thread_pool.hpp"
+#include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/rng.hpp"
 
@@ -908,64 +910,70 @@ TEST(CheckpointTest, KillDuringSpillResumesBitIdentical) {
   }
 }
 
-/// Kill during run compaction (the spill.merge site): the crash happens
-/// before any compacted output replaces the inputs, so every input run is
-/// still on disk, and an accumulator rebuilt over those runs — the resume
-/// path's restoreRunFile — merges to exactly the pre-crash totals.
-TEST(SpillFaultTest, KillDuringCompactionLeavesRunsRestorable) {
-  ScratchDir scratch("chisimnet_fault_spill_merge");
-  util::Rng rng(7);
-  sparse::SymmetricAdjacency expected;
+/// Kill inside an owner's merge pass (the spill.merge site): the pass dies
+/// before its intermediate run replaces anything, and the inputs stay
+/// where the pre-merge checkpoint names them, so a resume re-merges from
+/// the manifest and writes exactly the uninterrupted bytes — on both
+/// backends. A one-byte budget leaves every owner a zero reader share, so
+/// any shard of three or more runs (one per checkpointed batch at least)
+/// merges in intermediate passes.
+TEST(SpillFaultTest, KillDuringOwnerPassResumesBitIdentical) {
+  const FuzzCase fuzz = makeCase(89);
+  ScratchDir scratch("chisimnet_fault_owner_pass");
+  const auto files =
+      writePlacePartitionedFiles(fuzz.events, scratch.path(), 6);
+  const auto readFile = [](const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::filesystem::path densePath = scratch.path() / "dense.cadj";
+  sparse::saveAdjacency(
+      bruteForceAdjacency(fuzz.events, fuzz.windowStart, fuzz.windowEnd),
+      densePath);
+  const std::string want = readFile(densePath);
 
-  sparse::SpillingAccumulator::Options options;
-  options.dir = scratch.path();
-  options.maxLiveRuns = 2;
-  options.deferDeletes = true;
-  sparse::SpillingAccumulator victim(options);
-
-  FaultPlan plan;
-  plan.at("spill.merge", FaultSpec{.action = FaultAction::kThrow, .hit = 1});
-  runtime::fault::ScopedFaultPlan scoped(plan);
-
-  // Three spills of overlapping keys; the third pushes the live-run count
-  // past maxLiveRuns and the injected fault kills the compaction.
-  bool threw = false;
-  for (int slice = 0; slice < 3; ++slice) {
-    for (int n = 0; n < 400; ++n) {
-      const auto i = static_cast<std::uint32_t>(rng.uniformBelow(40));
-      auto j = static_cast<std::uint32_t>(rng.uniformBelow(40));
-      if (i == j) j = (j + 1) % 40;
-      const std::uint64_t weight = 1 + rng.uniformBelow(9);
-      victim.add(i, j, weight);
-      expected.add(i, j, weight);
+  for (const SynthesisBackend backend :
+       {SynthesisBackend::kSharedMemory, SynthesisBackend::kMessagePassing}) {
+    const std::string label = std::string(backendName(backend));
+    ScratchDir checkpoints("chisimnet_fault_owner_pass_ckpt_" + label);
+    SynthesisConfig config;
+    config.windowStart = fuzz.windowStart;
+    config.windowEnd = fuzz.windowEnd;
+    config.workers = 3;
+    config.backend = backend;
+    config.filesPerBatch = 2;  // 3 batches over 6 files
+    config.memoryBudgetBytes = 1;
+    config.checkpointDir = checkpoints.path();
+    {
+      FaultPlan plan;
+      plan.at("spill.merge",
+              FaultSpec{.action = FaultAction::kThrow, .hit = 1});
+      runtime::fault::ScopedFaultPlan scoped(plan);
+      NetworkSynthesizer interrupted(config);
+      EXPECT_ANY_THROW(
+          interrupted.synthesizeToFile(files, scratch.path() / "dead.cadj"))
+          << label;
     }
-    try {
-      victim.spillAll();
-    } catch (const FaultInjected&) {
-      threw = true;
+    const auto manifest = loadCheckpointManifest(checkpoints.path());
+    ASSERT_TRUE(manifest.has_value()) << label;
+    EXPECT_TRUE(manifest->spillMode) << label;
+    EXPECT_EQ(manifest->filesConsumed, files.size()) << label;
+    ASSERT_FALSE(manifest->spillRuns.empty()) << label;
+    for (const SpillRunEntry& run : manifest->spillRuns) {
+      EXPECT_TRUE(std::filesystem::exists(checkpoints.path() / "spill" /
+                                          run.file))
+          << label << " " << run.file;
     }
-  }
-  ASSERT_TRUE(threw);
-  ASSERT_EQ(victim.liveRuns().size(), 3u);
-  std::vector<sparse::SpillRunInfo> survivors = victim.liveRuns();
-  for (const auto& run : survivors) {
-    EXPECT_TRUE(std::filesystem::exists(run.file)) << run.file;
-  }
 
-  // "Resume": a fresh accumulator restores the surviving runs by name
-  // (compaction now succeeds — the plan's single shot is spent) and the
-  // merged stream matches the unbounded reference bit for bit.
-  sparse::SpillingAccumulator resumed(options);
-  for (const auto& run : survivors) {
-    resumed.restoreRunFile(run);
+    config.resume = true;
+    const std::filesystem::path out = scratch.path() / (label + ".cadj");
+    NetworkSynthesizer resumed(config);
+    resumed.synthesizeToFile(files, out);
+    EXPECT_EQ(readFile(out), want) << label;
+    EXPECT_TRUE(resumed.report().resumed) << label;
+    EXPECT_GT(resumed.report().spillCompactions, 0u) << label;
   }
-  const auto merged = resumed.finishMerge();
-  std::vector<sparse::AdjacencyTriplet> drained;
-  sparse::AdjacencyTriplet triplet;
-  while (merged->next(triplet)) {
-    drained.push_back(triplet);
-  }
-  EXPECT_EQ(drained, expected.toTriplets());
 }
 
 // ---- payload-cap regression ----

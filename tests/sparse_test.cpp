@@ -146,6 +146,53 @@ TEST(CollocationMatrix, EmptyWindowYieldsEmptyMatrix) {
   EXPECT_EQ(matrix.personCount(), 0u);
 }
 
+/// The scan CollocationMatrix::occupiedHours() used to run on every call
+/// (a sliceHours-long bitmap over every person-hour), kept as the oracle
+/// for the count now taken where the matrix is built or decoded.
+std::uint32_t occupiedHoursOracle(const CollocationMatrix& matrix) {
+  std::vector<bool> seen(matrix.sliceHours(), false);
+  std::uint32_t count = 0;
+  for (std::size_t row = 0; row < matrix.personCount(); ++row) {
+    for (const std::uint32_t hour : matrix.hoursAt(row)) {
+      if (!seen[hour]) {
+        seen[hour] = true;
+        ++count;
+      }
+    }
+  }
+  return count;
+}
+
+TEST(CollocationMatrix, OccupiedHoursMatchTheScanOracle) {
+  util::Rng rng(919);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto windowStart = static_cast<table::Hour>(rng.uniformBelow(10));
+    const auto windowEnd =
+        windowStart + static_cast<table::Hour>(rng.uniformBelow(60));
+    std::vector<Event> events;
+    const std::size_t visits = rng.uniformBelow(40);
+    for (std::size_t visit = 0; visit < visits; ++visit) {
+      const auto start = static_cast<table::Hour>(rng.uniformBelow(80));
+      events.push_back(Event{
+          start, start + static_cast<table::Hour>(rng.uniformBelow(12)),
+          static_cast<table::PersonId>(rng.uniformBelow(30)), 0, 7});
+    }
+    const CollocationMatrix built(7, events, windowStart, windowEnd);
+    EXPECT_EQ(built.occupiedHours(), occupiedHoursOracle(built)) << trial;
+    const CollocationMatrix decoded =
+        CollocationMatrix::fromBytes(built.toBytes());
+    EXPECT_EQ(decoded.occupiedHours(), built.occupiedHours()) << trial;
+  }
+}
+
+TEST(CollocationMatrix, DecodeRejectsAnHourOutsideTheSlice) {
+  const std::vector<Event> events = {Event{0, 2, 5, 0, 1}};
+  std::vector<std::byte> bytes = CollocationMatrix(1, events, 0, 2).toBytes();
+  // The last u32 is the last hour index; push it past the 2-hour slice.
+  bytes[bytes.size() - 4] = std::byte{9};
+  EXPECT_THROW(CollocationMatrix::fromBytes(bytes), std::runtime_error);
+}
+
 TEST(SymmetricAdjacency, AddAndWeightSymmetric) {
   SymmetricAdjacency adjacency;
   adjacency.add(3, 8, 4);

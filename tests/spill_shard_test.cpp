@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -13,20 +15,24 @@
 #include "chisimnet/elog/clg5.hpp"
 #include "chisimnet/elog/log_directory.hpp"
 #include "chisimnet/net/checkpoint.hpp"
+#include "chisimnet/net/executor.hpp"
 #include "chisimnet/net/synthesis.hpp"
 #include "chisimnet/runtime/fault.hpp"
 #include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/sparse/spill.hpp"
+#include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
 
-/// Sharded external-merge suite: the shard merge plan (straddler splitting,
-/// empty and single-row shards, unknown-range runs), per-shard segment
-/// merges whose concatenation must be byte-identical to the serial
-/// loser-tree CADJ across readahead modes, the orphaned-.tmp fresh-start
-/// sweep, end-to-end byte identity across shard counts and backends, the
-/// extended checkpoint manifest (key ranges + merge segments), cross-mode
-/// resume under a sharded merge, and kill-during-merge resume that re-merges
-/// only the unfinished shards.
+/// Shard-owned external-merge suite: the shard merge plan (straddler
+/// splitting, empty and single-row shards, unknown-range runs), per-shard
+/// segment merges whose concatenation must be byte-identical to the CADJ
+/// of the summed runs, budget-bounded multi-pass owner merges (bit-identical
+/// to one pass, per-owner reader bytes within the share on both backends),
+/// the one-hash segment splice, the orphaned-.tmp fresh-start sweep,
+/// end-to-end byte identity across shard counts and backends, the extended
+/// checkpoint manifest (key ranges + merge segments), cross-mode resume
+/// under a sharded merge, and kill-during-merge resume that re-merges only
+/// the unfinished shards.
 
 namespace chisimnet::sparse {
 namespace {
@@ -84,31 +90,24 @@ std::vector<AdjacencyTriplet> bruteForceSum(
   return merged;
 }
 
-std::vector<AdjacencyTriplet> drain(TripletSource& source) {
-  std::vector<AdjacencyTriplet> out;
-  AdjacencyTriplet triplet;
-  while (source.next(triplet)) {
-    out.push_back(triplet);
-  }
-  return out;
-}
-
 std::string fileBytes(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
 }
 
+constexpr std::uint64_t kUnbounded = std::numeric_limits<std::uint64_t>::max();
+
 /// Merges every group serially through mergeShardRuns and splices the
 /// segments ascending — the driver's sharded tail, minus the executor.
 std::vector<AdjacencyTriplet> mergePlanToTriplets(
     const std::vector<SpillingAccumulator::ShardRunGroup>& plan,
-    const std::filesystem::path& dir, SpillReadahead readahead) {
+    const std::filesystem::path& dir) {
   std::vector<AdjacencyTriplet> out;
   for (const auto& group : plan) {
     const ShardSegment segment = mergeShardRuns(
         group.shard, group.runs,
-        dir / ("seg." + std::to_string(group.shard) + ".cseg"), readahead);
+        dir / ("seg." + std::to_string(group.shard) + ".cseg"), kUnbounded);
     // A segment is a raw CADJ payload, not a CSPL1 run — read it directly.
     std::ifstream in(segment.file, std::ios::binary);
     std::vector<char> bytes(static_cast<std::size_t>(segment.bytes));
@@ -186,8 +185,7 @@ TEST(ShardMergePlanTest, StraddlingRunsAreSplitShardPure) {
   EXPECT_EQ(planned, accumulator.liveRuns().size());
 
   EXPECT_EQ(
-      mergePlanToTriplets(plan, scratch.path(), SpillReadahead::kNone),
-      bruteForceSum({adds}));
+      mergePlanToTriplets(plan, scratch.path()), bruteForceSum({adds}));
 }
 
 TEST(ShardMergePlanTest, EmptyAndSingleRowShards) {
@@ -210,8 +208,7 @@ TEST(ShardMergePlanTest, EmptyAndSingleRowShards) {
   const std::vector<AdjacencyTriplet> want = {
       AdjacencyTriplet{2, 90, 1}, AdjacencyTriplet{7, 8, 2},
       AdjacencyTriplet{7, 9, 3}, AdjacencyTriplet{40, 41, 4}};
-  EXPECT_EQ(
-      mergePlanToTriplets(plan, scratch.path(), SpillReadahead::kNone), want);
+  EXPECT_EQ(mergePlanToTriplets(plan, scratch.path()), want);
 }
 
 TEST(ShardMergePlanTest, EmptyAccumulatorYieldsEmptyPlan) {
@@ -245,11 +242,10 @@ TEST(ShardMergePlanTest, UnknownRangeRunIsSplit) {
   accumulator.restoreRunFile(info);
   const auto plan = accumulator.buildShardMergePlan();
   EXPECT_GT(accumulator.stats().runsSplit, 0u);
-  EXPECT_EQ(
-      mergePlanToTriplets(plan, scratch.path(), SpillReadahead::kNone), run);
+  EXPECT_EQ(mergePlanToTriplets(plan, scratch.path()), run);
 }
 
-// ---- segment concatenation vs the serial merge ----
+// ---- segment concatenation vs the CADJ of the summed runs ----
 
 TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
   ScratchDir scratch("chisimnet_shard_concat");
@@ -257,7 +253,19 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
   // 96 persons allow C(96,2) = 4560 distinct pairs; stay below that.
   const std::vector<AdjacencyTriplet> adds = makeRun(rng, 3000, 96);
 
-  const auto feed = [&](SpillingAccumulator& accumulator) {
+  // Reference: the summed rows written in one piece.
+  const std::filesystem::path serialOut = scratch.path() / "serial.cadj";
+  saveTriplets(bruteForceSum({adds}), serialOut);
+  const std::string serialBytes = fileBytes(serialOut);
+
+  // Unbounded owners merge each shard in one pass; a 2 KiB reader budget
+  // forces intermediate passes. Both splice to the same bytes.
+  for (const std::uint64_t readerBudget : {kUnbounded, std::uint64_t{2048}}) {
+    const std::string label = "reader budget " + std::to_string(readerBudget);
+    SpillingAccumulator::Options options;
+    options.dir = scratch.path() / ("sharded" + std::to_string(readerBudget));
+    options.rowsPerShard = 16;  // 96-row space -> several shards
+    SpillingAccumulator accumulator(options);
     const std::size_t slice = adds.size() / 7;
     for (std::size_t begin = 0; begin < adds.size(); begin += slice) {
       const std::size_t end = std::min(adds.size(), begin + slice);
@@ -266,77 +274,229 @@ TEST(ShardMergeTest, SegmentsConcatenateByteIdenticalToSerialCadj) {
       }
       accumulator.spillAll();
     }
-  };
-
-  // Serial reference: one loser tree over all runs into a CADJ.
-  const std::filesystem::path serialOut = scratch.path() / "serial.cadj";
-  {
-    SpillingAccumulator::Options options;
-    options.dir = scratch.path() / "serial";
-    SpillingAccumulator accumulator(options);
-    feed(accumulator);
-    const auto merged = accumulator.finishMerge();
-    StreamingTripletWriter writer(serialOut);
-    AdjacencyTriplet triplet;
-    while (merged->next(triplet)) {
-      writer.append(triplet);
-    }
-    writer.finish();
-  }
-  const std::string serialBytes = fileBytes(serialOut);
-
-  for (const SpillReadahead readahead :
-       {SpillReadahead::kNone, SpillReadahead::kDoubleBuffer,
-        SpillReadahead::kFadvise}) {
-    const std::string label =
-        "readahead " + std::to_string(static_cast<std::uint32_t>(readahead));
-    SpillingAccumulator::Options options;
-    options.dir =
-        scratch.path() /
-        ("sharded" + std::to_string(static_cast<std::uint32_t>(readahead)));
-    options.rowsPerShard = 16;  // 96-row space -> several shards
-    SpillingAccumulator accumulator(options);
-    feed(accumulator);
     const auto plan = accumulator.buildShardMergePlan();
     ASSERT_GT(plan.size(), 1u) << label;
-    const std::filesystem::path out =
-        scratch.path() / (label + ".cadj");
+    const std::filesystem::path out = scratch.path() / (label + ".cadj");
     StreamingTripletWriter writer(out);
+    std::uint64_t passes = 0;
     for (const auto& group : plan) {
       const ShardSegment segment = mergeShardRuns(
           group.shard, group.runs,
           options.dir / ("seg." + std::to_string(group.shard) + ".cseg"),
-          readahead);
+          readerBudget);
+      passes += segment.passes;
       writer.appendSegmentFile(segment.file,
                                TripletSegmentInfo{segment.triplets,
                                                   segment.bytes, segment.crc});
     }
     writer.finish();
     EXPECT_EQ(fileBytes(out), serialBytes) << label;
+    EXPECT_EQ(passes > 0, readerBudget != kUnbounded) << label;
   }
 }
 
-TEST(ShardMergeTest, ReadaheadReaderDetectsTruncation) {
-  ScratchDir scratch("chisimnet_shard_readahead_trunc");
-  util::Rng rng(109);
-  const std::vector<AdjacencyTriplet> run = makeRun(rng, 5000, 1u << 16);
-  const std::filesystem::path path = scratch.path() / "run.0.spl";
-  {
-    SpillRunWriter writer(path);
+/// Writes `count` runs of 20..119 random rows over persons
+/// [rowBase, rowBase + 64), appending each run's rows to `contents`.
+std::vector<SpillRunInfo> writeShardRuns(
+    const std::filesystem::path& dir, const std::string& prefix,
+    util::Rng& rng, int count, std::uint32_t rowBase,
+    std::vector<std::vector<AdjacencyTriplet>>& contents) {
+  std::vector<SpillRunInfo> runs;
+  for (int r = 0; r < count; ++r) {
+    std::vector<AdjacencyTriplet> run =
+        makeRun(rng, 20 + rng.uniformBelow(100), 64);
+    for (AdjacencyTriplet& triplet : run) {
+      triplet.i += rowBase;
+      triplet.j += rowBase;
+    }
+    SpillRunWriter writer(dir / (prefix + std::to_string(r) + ".spl"));
     writer.append(std::span<const AdjacencyTriplet>(run));
-    writer.finish();
+    runs.push_back(writer.finish());
+    contents.push_back(std::move(run));
   }
-  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
-  // The corruption is found on the prefetcher thread; the error must
-  // surface on the consumer with the same file-and-offset context.
-  SpillRunReader reader(path, SpillReadahead::kDoubleBuffer);
-  try {
-    drain(reader);
-    FAIL() << "truncated run should be rejected through the prefetcher";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find(path.string()), std::string::npos) << what;
-    EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+  return runs;
+}
+
+/// Acceptance (a): a shard with more runs than the byte bound admits is
+/// merged in at least two passes, the segment is bit-identical to one
+/// unbounded TripletMerger pass, and no pass holds more reader bytes than
+/// the bound.
+TEST(OwnerMergeTest, MultiPassMergeIsBitIdenticalToOnePass) {
+  ScratchDir scratch("chisimnet_owner_multipass");
+  util::Rng rng(113);
+  std::vector<std::vector<AdjacencyTriplet>> contents;
+  const std::vector<SpillRunInfo> runs =
+      writeShardRuns(scratch.path(), "run.", rng, 40, 0, contents);
+  std::uint64_t openBytes = 0;
+  for (const SpillRunInfo& run : runs) {
+    openBytes += spillReaderBytes(run);
+  }
+  const ShardSegment onePass = mergeShardRuns(
+      0, runs, scratch.path() / "one.cseg", kUnbounded);
+  EXPECT_EQ(onePass.passes, 0u);
+  EXPECT_EQ(onePass.peakReaderBytes, openBytes);
+  const std::string want = fileBytes(onePass.file);
+
+  for (const std::uint64_t readerBudget :
+       {openBytes / 2, openBytes / 5, std::uint64_t{4096}}) {
+    const std::string label = "reader budget " + std::to_string(readerBudget);
+    const std::filesystem::path file =
+        scratch.path() / ("multi" + std::to_string(readerBudget) + ".cseg");
+    const ShardSegment segment = mergeShardRuns(0, runs, file, readerBudget);
+    EXPECT_GE(segment.passes, 1u) << label;  // plus the final pass
+    EXPECT_LE(segment.peakReaderBytes, readerBudget) << label;
+    EXPECT_GT(segment.passBytes, 0u) << label;
+    EXPECT_EQ(segment.triplets, onePass.triplets) << label;
+    EXPECT_EQ(segment.crc, onePass.crc) << label;
+    EXPECT_EQ(fileBytes(file), want) << label;
+  }
+  // Intermediate runs are the merge's own: none outlive it, and the
+  // inputs stay.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(scratch.path())) {
+    EXPECT_EQ(entry.path().filename().string().find(".cseg.p"),
+              std::string::npos)
+        << entry.path();
+  }
+  for (const SpillRunInfo& run : runs) {
+    EXPECT_TRUE(std::filesystem::exists(run.file)) << run.file;
+  }
+}
+
+/// Acceptance (a), owner level: at owners {1, 2, 3, 4, 7} on both
+/// backends, every owner's passes stay within budget / owners, the
+/// heaviest shards force intermediate passes, and the spliced segments
+/// equal the summed runs.
+TEST(OwnerMergeTest, PerOwnerReaderBytesStayWithinTheShare) {
+  ScratchDir scratch("chisimnet_owner_share");
+  util::Rng rng(127);
+  constexpr std::uint32_t kRowsPerShard = 64;
+  std::vector<std::vector<AdjacencyTriplet>> contents;
+  std::vector<SpillingAccumulator::ShardRunGroup> groups;
+  for (std::uint32_t shard = 0; shard < 7; ++shard) {
+    groups.push_back(SpillingAccumulator::ShardRunGroup{
+        shard, writeShardRuns(scratch.path(),
+                              "s" + std::to_string(shard) + ".", rng, 30,
+                              shard * kRowsPerShard, contents)});
+  }
+  const std::filesystem::path reference = scratch.path() / "reference.cadj";
+  saveTriplets(bruteForceSum(contents), reference);
+  const std::string want = fileBytes(reference);
+
+  // 28 KiB over 7 owners still covers two of these (<= 1.9 KiB) runs.
+  constexpr std::uint64_t kBudget = 28 * 1024;
+  for (const net::SynthesisBackend backend :
+       {net::SynthesisBackend::kSharedMemory,
+        net::SynthesisBackend::kMessagePassing}) {
+    for (const unsigned owners : {1u, 2u, 3u, 4u, 7u}) {
+      const std::string label = std::string(net::backendName(backend)) +
+                                " owners " + std::to_string(owners);
+      net::SynthesisConfig config;
+      config.windowEnd = 1;
+      config.backend = backend;
+      config.workers = owners;
+      config.reduceShards = owners;
+      config.memoryBudgetBytes = kBudget;
+      config.spillDir = scratch.path();
+      const auto executor = net::makeExecutor(config);
+      std::vector<ShardSegment> segments =
+          executor->mergeSpillShards(groups, [](const ShardSegment&) {});
+      ASSERT_EQ(segments.size(), groups.size()) << label;
+      std::sort(segments.begin(), segments.end(),
+                [](const ShardSegment& a, const ShardSegment& b) {
+                  return a.shard < b.shard;
+                });
+      std::map<unsigned, std::uint64_t> ownerPeak;
+      SpillStats stats;
+      for (const ShardSegment& segment : segments) {
+        ownerPeak[segment.owner] =
+            std::max(ownerPeak[segment.owner], segment.peakReaderBytes);
+        stats.addSegment(segment);
+      }
+      EXPECT_EQ(ownerPeak.size(), owners) << label;
+      for (const auto& [owner, peak] : ownerPeak) {
+        EXPECT_LE(peak, kBudget / owners) << label << " owner " << owner;
+      }
+      EXPECT_LE(stats.peakMergeReaderBytes, kBudget / owners) << label;
+      EXPECT_GT(stats.compactions, 0u) << label;
+      const std::filesystem::path out =
+          scratch.path() / ("out_" + label + ".cadj");
+      StreamingTripletWriter writer(out);
+      for (const ShardSegment& segment : segments) {
+        writer.appendSegmentFile(segment.file,
+                                 TripletSegmentInfo{segment.triplets,
+                                                    segment.bytes,
+                                                    segment.crc});
+      }
+      writer.finish();
+      EXPECT_EQ(fileBytes(out), want) << label;
+    }
+  }
+}
+
+// ---- the segment splice ----
+
+/// The splice hashes each segment byte once: the folded payload CRC must
+/// equal the CRC of the whole payload, and a flipped byte in any segment
+/// must still fail with that segment's path.
+TEST(SegmentSpliceTest, OneHashChecksEverySegmentAndFoldsThePayloadCrc) {
+  ScratchDir scratch("chisimnet_segment_splice");
+  util::Rng rng(131);
+  std::vector<std::filesystem::path> files;
+  std::vector<TripletSegmentInfo> infos;
+  for (std::uint32_t shard = 0; shard < 3; ++shard) {
+    // Shard 1 spans more than one 1 MiB splice chunk.
+    const std::size_t rows = shard == 1 ? 70000 : 500;
+    std::vector<AdjacencyTriplet> run = makeRun(rng, rows, 1u << 12);
+    files.push_back(scratch.path() /
+                    ("seg." + std::to_string(shard) + ".cseg"));
+    TripletSegmentWriter writer(files.back());
+    for (AdjacencyTriplet triplet : run) {
+      triplet.i += shard << 12;
+      triplet.j += shard << 12;
+      writer.append(triplet);
+    }
+    infos.push_back(writer.finish());
+  }
+  const auto splice = [&](const std::filesystem::path& out) {
+    StreamingTripletWriter writer(out);
+    for (std::size_t at = 0; at < files.size(); ++at) {
+      writer.appendSegmentFile(files[at], infos[at]);
+    }
+    writer.finish();
+  };
+  const std::filesystem::path out = scratch.path() / "spliced.cadj";
+  splice(out);
+  const std::string bytes = fileBytes(out);
+  ASSERT_GT(bytes.size(), 20u);
+  const std::span<const std::byte> payload(
+      reinterpret_cast<const std::byte*>(bytes.data()) + 16,
+      bytes.size() - 20);
+  EXPECT_EQ(util::loadLe32(reinterpret_cast<const std::byte*>(
+                bytes.data() + bytes.size() - 4)),
+            util::crc32(payload));
+  EXPECT_EQ(loadTriplets(out).size(),
+            infos[0].triplets + infos[1].triplets + infos[2].triplets);
+
+  for (std::size_t victim = 0; victim < files.size(); ++victim) {
+    const std::string original = fileBytes(files[victim]);
+    {
+      std::fstream file(files[victim],
+                        std::ios::binary | std::ios::in | std::ios::out);
+      file.seekp(static_cast<std::streamoff>(original.size() / 2));
+      const char flipped =
+          static_cast<char>(original[original.size() / 2] ^ 0x10);
+      file.write(&flipped, 1);
+    }
+    try {
+      splice(scratch.path() / "corrupt.cadj");
+      FAIL() << "a flipped byte in segment " << victim << " must fail";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(files[victim].string()), std::string::npos) << what;
+    }
+    std::ofstream(files[victim], std::ios::binary | std::ios::trunc)
+        << original;
   }
 }
 
@@ -367,7 +527,8 @@ TEST(SpillGcTest, FreshStartSweepsOrphanedTmpRuns) {
   accumulator.add(1, 2, 3);
   accumulator.spillAll();
   ASSERT_EQ(accumulator.liveRuns().size(), 1u);
-  EXPECT_EQ(drain(*accumulator.finishMerge()),
+  EXPECT_EQ(mergePlanToTriplets(accumulator.buildShardMergePlan(),
+                                scratch.path()),
             (std::vector<AdjacencyTriplet>{AdjacencyTriplet{1, 2, 3}}));
 }
 

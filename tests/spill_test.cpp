@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <fstream>
 #include <map>
 #include <span>
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "chisimnet/sparse/adjacency.hpp"
+#include "chisimnet/sparse/adjacency_io.hpp"
 #include "chisimnet/sparse/spill.hpp"
 #include "chisimnet/util/rng.hpp"
 
@@ -18,7 +21,7 @@
 /// bit-flip rejection with file + byte-offset context), and the
 /// SpillingAccumulator's budget guarantee — peak resident bytes must never
 /// exceed the configured cap, asserted here as a test, not just observed
-/// in a bench.
+/// in a bench — and its adoption, which only renames and never merges.
 
 namespace chisimnet::sparse {
 namespace {
@@ -75,6 +78,25 @@ std::vector<AdjacencyTriplet> bruteForceSum(
     merged.push_back(AdjacencyTriplet{pairLow(key), pairHigh(key), weight});
   }
   return merged;
+}
+
+/// Everything the accumulator holds, merged the way the stage-6 owners do
+/// it: its shard plan, one unbounded owner, segments spliced into a CADJ.
+std::vector<AdjacencyTriplet> mergeAll(SpillingAccumulator& accumulator,
+                                       const std::filesystem::path& dir) {
+  const std::filesystem::path out = dir / "merged.cadj";
+  StreamingTripletWriter writer(out);
+  for (const auto& group : accumulator.buildShardMergePlan()) {
+    const ShardSegment segment = mergeShardRuns(
+        group.shard, group.runs,
+        dir / ("seg." + std::to_string(group.shard) + ".cseg"),
+        std::numeric_limits<std::uint64_t>::max());
+    writer.appendSegmentFile(
+        segment.file,
+        TripletSegmentInfo{segment.triplets, segment.bytes, segment.crc});
+  }
+  writer.finish();
+  return loadTriplets(out);
 }
 
 std::vector<AdjacencyTriplet> drain(TripletSource& source) {
@@ -312,8 +334,7 @@ TEST(SpillingAccumulatorTest, MatchesBruteForceAcrossSpills) {
     accumulator.add(triplet.i, triplet.j, triplet.weight);
   }
   EXPECT_GT(accumulator.stats().runsWritten, 0u);
-  const auto merged = accumulator.finishMerge();
-  EXPECT_EQ(drain(*merged), bruteForceSum({adds}));
+  EXPECT_EQ(mergeAll(accumulator, scratch.path()), bruteForceSum({adds}));
 }
 
 TEST(SpillingAccumulatorTest, PeakNeverExceedsTheBudget) {
@@ -348,34 +369,44 @@ TEST(SpillingAccumulatorTest, PeakNeverExceedsTheBudget) {
   for (const auto& [key, weight] : reference) {
     want.push_back(AdjacencyTriplet{pairLow(key), pairHigh(key), weight});
   }
-  const auto merged = accumulator.finishMerge();
-  EXPECT_EQ(drain(*merged), want);
+  EXPECT_EQ(mergeAll(accumulator, scratch.path()), want);
   // The merge-time spill counts toward the same peak guarantee.
   EXPECT_LE(accumulator.stats().peakResidentBytes, budget);
 }
 
-TEST(SpillingAccumulatorTest, CompactionBoundsLiveRuns) {
-  ScratchDir scratch("chisimnet_spill_acc_compact");
+TEST(SpillingAccumulatorTest, AdoptionNeverMerges) {
+  // The root only adopts: however many runs arrive, each stays a live run
+  // under its own name, nothing is rewritten, and the shard owners'
+  // merge sums them all.
+  ScratchDir scratch("chisimnet_spill_acc_adopt_only");
   util::Rng rng(47);
   const std::vector<AdjacencyTriplet> adds = makeRun(rng, 6000, 500);
 
   SpillingAccumulator::Options options;
   options.dir = scratch.path();
-  options.maxLiveRuns = 3;
   SpillingAccumulator accumulator(options);
-  // Force many runs via explicit spillAll between slices.
-  const std::size_t slice = adds.size() / 10;
+  std::vector<std::vector<AdjacencyTriplet>> slices;
+  std::uint64_t adoptedBytes = 0;
+  const std::size_t slice = adds.size() / 40;
   for (std::size_t begin = 0; begin < adds.size(); begin += slice) {
     const std::size_t end = std::min(adds.size(), begin + slice);
-    for (std::size_t i = begin; i < end; ++i) {
-      accumulator.add(adds[i].i, adds[i].j, adds[i].weight);
-    }
-    accumulator.spillAll();
-    EXPECT_LE(accumulator.liveRuns().size(), options.maxLiveRuns);
+    slices.emplace_back(adds.begin() + static_cast<std::ptrdiff_t>(begin),
+                        adds.begin() + static_cast<std::ptrdiff_t>(end));
+    SpillRunWriter writer(scratch.path() /
+                          ("w0.b" + std::to_string(begin) + ".spl"));
+    writer.append(std::span<const AdjacencyTriplet>(slices.back()));
+    const SpillRunInfo info = writer.finish();
+    adoptedBytes += info.bytes;
+    accumulator.adoptRunFile(info);
+    EXPECT_EQ(accumulator.liveRuns().size(), slices.size());
   }
-  EXPECT_GT(accumulator.stats().compactions, 0u);
-  const auto merged = accumulator.finishMerge();
-  EXPECT_EQ(drain(*merged), adds);
+  EXPECT_EQ(accumulator.stats().compactions, 0u);
+  EXPECT_EQ(accumulator.stats().runsWritten, slices.size());
+  EXPECT_EQ(accumulator.stats().spilledBytes, adoptedBytes);
+  for (const SpillRunInfo& run : accumulator.liveRuns()) {
+    EXPECT_TRUE(run.file.filename().string().starts_with("run.")) << run.file;
+  }
+  EXPECT_EQ(mergeAll(accumulator, scratch.path()), bruteForceSum(slices));
 }
 
 TEST(SpillingAccumulatorTest, AdoptRenamesIntoOwnNamespace) {
@@ -398,8 +429,7 @@ TEST(SpillingAccumulatorTest, AdoptRenamesIntoOwnNamespace) {
   const std::string adopted =
       accumulator.liveRuns()[0].file.filename().string();
   EXPECT_TRUE(adopted.starts_with("run.")) << adopted;
-  const auto merged = accumulator.finishMerge();
-  EXPECT_EQ(drain(*merged),
+  EXPECT_EQ(mergeAll(accumulator, scratch.path()),
             (std::vector<AdjacencyTriplet>{AdjacencyTriplet{1, 2, 5}}));
 }
 

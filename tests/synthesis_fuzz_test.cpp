@@ -261,12 +261,14 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
 
   // Memory-budget axis: the disk-spilling accumulator is a perf/footprint
   // knob, never an output knob. A tight budget (forces spills every few
-  // batches) and a pathological one (the 4 KiB threshold floor: spill on
-  // practically every batch) must both stay bit-identical to the brute
-  // force, per backend and kernel.
+  // batches), one small enough that the merge owners work in several
+  // passes over one-row frames, and a pathological one (the 4 KiB
+  // threshold floor: spill on practically every batch; a zero reader
+  // share, so owners merge two runs per pass) must all stay bit-identical
+  // to the brute force, per backend and kernel.
   config.method = sparse::AdjacencyMethod::kLocalAccumulate;
   for (const std::uint64_t budget : {std::uint64_t{32} * 1024,
-                                     std::uint64_t{1}}) {
+                                     std::uint64_t{512}, std::uint64_t{1}}) {
     for (const SynthesisBackend backend :
          {SynthesisBackend::kSharedMemory,
           SynthesisBackend::kMessagePassing}) {
@@ -291,9 +293,8 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
 
       // The streaming file writer must produce the same CADJ bytes as
       // saving the equivalent in-memory result — across the reduce-shard
-      // axis. 1 takes the legacy serial k-way merge, 3 and 0 (auto =
-      // workers) take the owner-sharded parallel merge; the shard count is
-      // a perf knob only, never an output knob.
+      // axis: 1 owner, 3, or 0 (auto = workers); the owner count is a perf
+      // knob only, never an output knob.
       const std::filesystem::path dense =
           scratch.path() / ("dense_" + label + ".cadj");
       sparse::saveAdjacency(reference, dense);
@@ -320,6 +321,11 @@ TEST_P(SynthesisFuzz, PipelineEqualsBruteForceAcrossConfigs) {
         EXPECT_EQ(streaming.report().reduceShardsUsed,
                   resolvedReduceShards(config))
             << shardLabel;
+        if (budget >= 512) {
+          // Each owner's share covers any two one-row-frame runs.
+          EXPECT_LE(streaming.report().peakMergeReaderBytes, budget)
+              << shardLabel;
+        }
       }
       config.reduceShards = 0;
       config.mergeRowsPerShard = 0;
@@ -594,6 +600,57 @@ TEST(SynthesisHubPlace, EveryScheduleMatchesBruteForce) {
           EXPECT_EQ(readBytes(streamed), referenceBytes) << label;
         }
       }
+    }
+  }
+}
+
+/// A budget far below the network, over 32 one-file batches: every shard
+/// collects more runs than the sixteen its owner's share admits at once,
+/// so the owners merge in intermediate passes on both backends, at one
+/// and at three owners, and the streamed CADJ still equals the dense one.
+/// No owner holds more run-reader bytes than its share.
+TEST(SynthesisMultiPass, SmallBudgetMergesInPassesOnBothBackends) {
+  util::Rng rng(5151);
+  table::EventTable events;
+  for (int visit = 0; visit < 3000; ++visit) {
+    const auto start = static_cast<Hour>(rng.uniformBelow(60));
+    const Hour end = start + 1 + static_cast<Hour>(rng.uniformBelow(8));
+    events.append(Event{start, end,
+                        static_cast<table::PersonId>(rng.uniformBelow(300)), 0,
+                        static_cast<table::PlaceId>(rng.uniformBelow(40))});
+  }
+  ScratchDir scratch("chisimnet_multipass");
+  const auto files = writePlacePartitionedFiles(events, scratch.path(), 32);
+  const auto reference = bruteForceAdjacency(events, 0, 72);
+  const std::filesystem::path referenceFile = scratch.path() / "ref.cadj";
+  sparse::saveAdjacency(reference, referenceFile);
+  const std::string referenceBytes = readBytes(referenceFile);
+
+  constexpr std::uint64_t kBudget = 2048;
+  for (const SynthesisBackend backend :
+       {SynthesisBackend::kSharedMemory, SynthesisBackend::kMessagePassing}) {
+    for (const unsigned owners : {1u, 3u}) {
+      SynthesisConfig config;
+      config.windowEnd = 72;
+      config.backend = backend;
+      config.workers = 3;
+      config.filesPerBatch = 1;
+      config.memoryBudgetBytes = kBudget;
+      config.reduceShards = owners;
+      config.mergeRowsPerShard = owners == 1 ? 0 : 64;  // 1 or 5 shards
+      const std::string label = std::string(backendName(backend)) +
+                                " owners " + std::to_string(owners);
+      const std::filesystem::path streamed =
+          scratch.path() / (label + ".cadj");
+      NetworkSynthesizer synthesizer(config);
+      EXPECT_EQ(synthesizer.synthesizeToFile(files, streamed),
+                reference.edgeCount())
+          << label;
+      EXPECT_EQ(readBytes(streamed), referenceBytes) << label;
+      const SynthesisReport& report = synthesizer.report();
+      EXPECT_GT(report.spillCompactions, 0u) << label;
+      EXPECT_GT(report.peakMergeReaderBytes, 0u) << label;
+      EXPECT_LE(report.peakMergeReaderBytes, kBudget / owners) << label;
     }
   }
 }

@@ -307,18 +307,6 @@ int cmdSynthesize(const Args& args) {
   config.memoryBudgetBytes = args.bytes("memory-budget", 0);
   config.spillDir = args.str("spill-dir", "");
   config.reduceShards = static_cast<unsigned>(args.u64("reduce-shards", 0));
-  const std::string readahead = args.str("merge-readahead", "buffer");
-  if (readahead == "none") {
-    config.mergeReadahead = sparse::SpillReadahead::kNone;
-  } else if (readahead == "buffer") {
-    config.mergeReadahead = sparse::SpillReadahead::kDoubleBuffer;
-  } else if (readahead == "fadvise") {
-    config.mergeReadahead = sparse::SpillReadahead::kFadvise;
-  } else {
-    throw std::invalid_argument(
-        "--merge-readahead expects none, buffer or fadvise, got: " +
-        readahead);
-  }
   const std::string out = args.requireStr("out");
   net::NetworkSynthesizer synthesizer(config);
   std::uint64_t edges = 0;
@@ -344,8 +332,13 @@ int cmdSynthesize(const Args& args) {
             << report.collocationSeconds << " s, partition "
             << report.partitionSeconds << " s, adjacency "
             << report.adjacencySeconds << " s, reduce "
-            << report.reduceSeconds << " s; stage-5 busy imbalance "
-            << report.adjacencyBusyImbalance << "\n";
+            << report.reduceSeconds << " s";
+  if (report.memoryBudgetBytes > 0) {
+    std::cout << " (" << report.spillCompactions
+              << " intermediate merge passes)";
+  }
+  std::cout << "; stage-5 busy imbalance " << report.adjacencyBusyImbalance
+            << "\n";
   if (report.backend == net::SynthesisBackend::kMessagePassing) {
     std::cout << "comm: scattered " << report.bytesScattered / 1024
               << " KiB to ranks, returned " << report.bytesReturned / 1024
@@ -413,16 +406,16 @@ int cmdSynthesize(const Args& args) {
               << report.peakStage5Bytes / 1024 / 1024 << " MiB, "
               << report.spillRunsWritten << " runs ("
               << report.spilledBytes / 1024 / 1024 << " MiB, "
-              << report.spilledTriplets << " triplets), "
-              << report.spillCompactions << " compactions\n";
-    if (report.reduceShardsUsed > 1) {
-      std::cout << "merge: " << report.reduceShardsUsed << " owners, "
-                << report.mergeSegmentsWritten << " segments ("
-                << report.mergeSegmentsReused << " reused, "
-                << report.spillRunsSplit << " runs split), "
-                << report.mergeSeconds << " s merge CPU, critical path "
-                << report.mergeCriticalSeconds << " s\n";
-    }
+              << report.spilledTriplets << " triplets)\n";
+    std::cout << "merge: " << report.reduceShardsUsed << " owners, "
+              << report.mergeSegmentsWritten << " segments ("
+              << report.mergeSegmentsReused << " reused, "
+              << report.spillRunsSplit << " runs split), "
+              << report.spillCompactions << " intermediate passes, peak "
+              << report.peakMergeReaderBytes / 1024
+              << " KiB of open run readers per owner, "
+              << report.mergeSeconds << " s merge CPU, critical path "
+              << report.mergeCriticalSeconds << " s\n";
   }
   std::cout << "wrote " << out << " ("
             << std::filesystem::file_size(out) / 1024 / 1024 << " MiB)\n";
@@ -593,7 +586,7 @@ void printUsage() {
       "              [--connect-retries N] [--reconnect-grace-ms MS]\n"
       "              [--tcp-listen HOST:PORT [--tcp-job FILE]]\n"
       "              [--memory-budget BYTES[K|M|G]] [--spill-dir DIR]\n"
-      "              [--reduce-shards N] [--merge-readahead none|buffer|fadvise]\n"
+      "              [--reduce-shards N]\n"
       "  worker      --connect HOST:PORT --rank N --rank-count R\n"
       "              [--connect-timeout-ms MS] [--connect-retries N]\n"
       "              (join a --transport tcp synthesis root from another host)\n"
