@@ -1,13 +1,12 @@
 /// SPGEMM — per-place adjacency computation A = x·xᵀ (paper §IV).
 ///
-/// Microbenchmarks of the three equivalent kernels (sparse column outer
-/// products — the paper's math —, pairwise interval intersection, and the
-/// local-coordinate accumulate that batches each place's pair-hours before
-/// touching the global map) across place profiles: a household (tiny,
-/// always-on), a classroom (30 persons, school hours), a workplace
-/// (hundreds, business hours) and a congregate hub (thousands, mixed
-/// hours). The crossover explains why the pipeline defaults to the
-/// local-coordinate kernel.
+/// Microbenchmarks of the library's local-coordinate kernel, which batches
+/// each place's pair-hours before touching the global map, against the
+/// paper's math as written (sparse column outer products, one global
+/// insert per pair-hour — the test suite's SpGEMM oracle) across place
+/// profiles: a household (tiny, always-on), a classroom (30 persons,
+/// school hours), a workplace (hundreds, business hours), a congregate hub
+/// (thousands, mixed hours) and a shop (thousands, one hour each).
 ///
 /// Beyond the google-benchmark tables, the binary writes
 /// BENCH_spgemm.json (min-of-N seconds per shape and kernel, speedups,
@@ -25,6 +24,7 @@
 #include "chisimnet/sparse/collocation.hpp"
 #include "chisimnet/util/rng.hpp"
 #include "chisimnet/util/timer.hpp"
+#include "spgemm_oracle.hpp"
 
 namespace {
 
@@ -45,13 +45,27 @@ sparse::CollocationMatrix makePlace(std::size_t persons, unsigned hoursEach,
   return sparse::CollocationMatrix(1, events, 0, 168);
 }
 
+/// kOracle: the paper's SpGEMM (tests/spgemm_oracle.hpp); kLocal: the library.
+enum class Kernel { kOracle, kLocal };
+
+/// One place's x·xᵀ into a fresh adjacency through `kernel`.
+sparse::SymmetricAdjacency runKernel(const sparse::CollocationMatrix& matrix,
+                                     Kernel kernel) {
+  sparse::SymmetricAdjacency adjacency;
+  if (kernel == Kernel::kOracle) {
+    sparse::oracle::addViaSpGemm(adjacency, matrix);
+  } else {
+    adjacency.addCollocation(matrix);
+  }
+  return adjacency;
+}
+
 void runMethod(benchmark::State& state, std::size_t persons, unsigned hours,
-               sparse::AdjacencyMethod method) {
+               Kernel kernel) {
   const sparse::CollocationMatrix matrix = makePlace(persons, hours, 42);
   std::uint64_t edges = 0;
   for (auto _ : state) {
-    sparse::SymmetricAdjacency adjacency;
-    adjacency.addCollocation(matrix, method);
+    const sparse::SymmetricAdjacency adjacency = runKernel(matrix, kernel);
     benchmark::DoNotOptimize(adjacency);
     edges = adjacency.edgeCount();
   }
@@ -60,70 +74,48 @@ void runMethod(benchmark::State& state, std::size_t persons, unsigned hours,
 }
 
 void BM_SpGemm_Household(benchmark::State& state) {
-  runMethod(state, 4, 120, sparse::AdjacencyMethod::kSpGemm);
-}
-void BM_Intersect_Household(benchmark::State& state) {
-  runMethod(state, 4, 120, sparse::AdjacencyMethod::kIntervalIntersection);
+  runMethod(state, 4, 120, Kernel::kOracle);
 }
 void BM_Local_Household(benchmark::State& state) {
-  runMethod(state, 4, 120, sparse::AdjacencyMethod::kLocalAccumulate);
+  runMethod(state, 4, 120, Kernel::kLocal);
 }
 void BM_SpGemm_Classroom(benchmark::State& state) {
-  runMethod(state, 30, 30, sparse::AdjacencyMethod::kSpGemm);
-}
-void BM_Intersect_Classroom(benchmark::State& state) {
-  runMethod(state, 30, 30, sparse::AdjacencyMethod::kIntervalIntersection);
+  runMethod(state, 30, 30, Kernel::kOracle);
 }
 void BM_Local_Classroom(benchmark::State& state) {
-  runMethod(state, 30, 30, sparse::AdjacencyMethod::kLocalAccumulate);
+  runMethod(state, 30, 30, Kernel::kLocal);
 }
 void BM_SpGemm_Workplace(benchmark::State& state) {
-  runMethod(state, 300, 40, sparse::AdjacencyMethod::kSpGemm);
-}
-void BM_Intersect_Workplace(benchmark::State& state) {
-  runMethod(state, 300, 40, sparse::AdjacencyMethod::kIntervalIntersection);
+  runMethod(state, 300, 40, Kernel::kOracle);
 }
 void BM_Local_Workplace(benchmark::State& state) {
-  runMethod(state, 300, 40, sparse::AdjacencyMethod::kLocalAccumulate);
+  runMethod(state, 300, 40, Kernel::kLocal);
 }
 void BM_SpGemm_CongregateHub(benchmark::State& state) {
-  runMethod(state, 2000, 30, sparse::AdjacencyMethod::kSpGemm);
-}
-void BM_Intersect_CongregateHub(benchmark::State& state) {
-  runMethod(state, 2000, 30, sparse::AdjacencyMethod::kIntervalIntersection);
+  runMethod(state, 2000, 30, Kernel::kOracle);
 }
 void BM_Local_CongregateHub(benchmark::State& state) {
-  runMethod(state, 2000, 30, sparse::AdjacencyMethod::kLocalAccumulate);
+  runMethod(state, 2000, 30, Kernel::kLocal);
 }
-// A shop: many distinct visitors but only a couple present at a time. Most
-// visitor pairs never overlap, so the pairwise-intersection kernel wastes
-// O(p^2) empty intersections while the matrix kernels only touch
-// co-present pairs. The local kernel's dense/hash crossover picks the hash
-// path here (p²/2 pair slots vastly exceed the actual pair-hours).
+// A shop: many distinct visitors but only a couple present at a time. The
+// local kernel's dense/hash crossover picks the hash path here (p²/2 pair
+// slots vastly exceed the actual pair-hours).
 void BM_SpGemm_Shop(benchmark::State& state) {
-  runMethod(state, 3000, 1, sparse::AdjacencyMethod::kSpGemm);
-}
-void BM_Intersect_Shop(benchmark::State& state) {
-  runMethod(state, 3000, 1, sparse::AdjacencyMethod::kIntervalIntersection);
+  runMethod(state, 3000, 1, Kernel::kOracle);
 }
 void BM_Local_Shop(benchmark::State& state) {
-  runMethod(state, 3000, 1, sparse::AdjacencyMethod::kLocalAccumulate);
+  runMethod(state, 3000, 1, Kernel::kLocal);
 }
 
 BENCHMARK(BM_SpGemm_Household);
-BENCHMARK(BM_Intersect_Household);
 BENCHMARK(BM_Local_Household);
 BENCHMARK(BM_SpGemm_Classroom);
-BENCHMARK(BM_Intersect_Classroom);
 BENCHMARK(BM_Local_Classroom);
 BENCHMARK(BM_SpGemm_Workplace)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Intersect_Workplace)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Local_Workplace)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SpGemm_CongregateHub)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Intersect_CongregateHub)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Local_CongregateHub)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SpGemm_Shop)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Intersect_Shop)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Local_Shop)->Unit(benchmark::kMillisecond);
 
 /// Merge (reduction) cost: summing worker adjacencies at the root.
@@ -166,28 +158,14 @@ constexpr Shape kShapes[] = {
     {"shop", 3000, 1},
 };
 
-const char* methodSlug(sparse::AdjacencyMethod method) {
-  switch (method) {
-    case sparse::AdjacencyMethod::kSpGemm:
-      return "spgemm";
-    case sparse::AdjacencyMethod::kIntervalIntersection:
-      return "intersect";
-    case sparse::AdjacencyMethod::kLocalAccumulate:
-      return "local";
-  }
-  return "unknown";
-}
-
 /// Min-of-N wall time of one kernel on one place; min filters scheduler
 /// noise on the shared CI machines this gate runs on.
-double minSeconds(const sparse::CollocationMatrix& matrix,
-                  sparse::AdjacencyMethod method, int repeats,
-                  std::uint64_t* edgesOut = nullptr) {
+double minSeconds(const sparse::CollocationMatrix& matrix, Kernel kernel,
+                  int repeats, std::uint64_t* edgesOut = nullptr) {
   double best = 1e300;
   for (int repeat = 0; repeat < repeats; ++repeat) {
     util::WallTimer timer;
-    sparse::SymmetricAdjacency adjacency;
-    adjacency.addCollocation(matrix, method);
+    const sparse::SymmetricAdjacency adjacency = runKernel(matrix, kernel);
     best = std::min(best, timer.seconds());
     if (edgesOut != nullptr) {
       *edgesOut = adjacency.edgeCount();
@@ -208,27 +186,22 @@ double dumpJson(int repeats) {
     const sparse::CollocationMatrix matrix =
         makePlace(shape.persons, shape.hours, 42);
     const std::string prefix = shape.name;
-    double bySlug[3] = {0.0, 0.0, 0.0};
     std::uint64_t edges = 0;
-    int slot = 0;
-    for (const auto method : {sparse::AdjacencyMethod::kSpGemm,
-                              sparse::AdjacencyMethod::kIntervalIntersection,
-                              sparse::AdjacencyMethod::kLocalAccumulate}) {
-      const double seconds = minSeconds(matrix, method, repeats, &edges);
-      bySlug[slot++] = seconds;
-      json.put(prefix + "_" + methodSlug(method) + "_seconds", seconds);
-    }
-    const double speedup = bySlug[0] / std::max(bySlug[2], 1e-12);
+    const double spgemm = minSeconds(matrix, Kernel::kOracle, repeats);
+    const double local = minSeconds(matrix, Kernel::kLocal, repeats, &edges);
+    json.put(prefix + "_spgemm_seconds", spgemm);
+    json.put(prefix + "_local_seconds", local);
+    const double speedup = spgemm / std::max(local, 1e-12);
     json.put(prefix + "_edges", edges);
     json.put(prefix + "_local_edges_per_sec",
-             static_cast<double>(edges) / std::max(bySlug[2], 1e-12));
+             static_cast<double>(edges) / std::max(local, 1e-12));
     json.put(prefix + "_local_vs_spgemm_speedup", speedup);
     if (std::string(shape.name) == "congregate_hub") {
       hubSpeedup = speedup;
     }
     std::cout << "  " << prefix << ": spgemm "
-              << chisimnet::bench::fmt(bySlug[0] * 1e3, 3) << " ms, local "
-              << chisimnet::bench::fmt(bySlug[2] * 1e3, 3) << " ms ("
+              << chisimnet::bench::fmt(spgemm * 1e3, 3) << " ms, local "
+              << chisimnet::bench::fmt(local * 1e3, 3) << " ms ("
               << chisimnet::bench::fmt(speedup, 2) << "x)\n";
   }
   json.put("congregate_hub_gate_threshold", 1.5);

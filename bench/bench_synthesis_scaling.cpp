@@ -55,10 +55,6 @@ int main() {
               << fmt(report.adjacencyBusyImbalance, 2) << "\n";
     if (workers == 4) {
       // Per-stage breakdown of the representative 4-worker run for CI.
-      json.put("kernel_variant",
-               config.method == sparse::AdjacencyMethod::kLocalAccumulate
-                   ? "local"
-                   : "spgemm");
       json.put("workers", static_cast<std::uint64_t>(workers));
       json.put("edges", report.edges);
       json.put("load_seconds", report.loadSeconds);
@@ -82,17 +78,16 @@ int main() {
   // wall time should fall with the worker count while the work (one hash
   // insert per worker-sum entry) stays the same.
   std::cout << "\nstage-6 shard fold on the pipeline (wall seconds):\n"
-            << "  workers  fold(s)  shards  sums\n";
+            << "  workers  fold(s)  shards\n";
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
     config.workers = workers;
     net::NetworkSynthesizer run(config);
     run.synthesizeAdjacency(logs.files);
     const auto& report = run.report();
-    std::cout << "  " << workers << "        " << fmt(report.reduceCriticalSeconds, 4)
-              << "   " << report.reduceShardCount << "      "
-              << report.reduceMergedSums << "\n";
+    std::cout << "  " << workers << "        " << fmt(report.reduceSeconds, 4)
+              << "   " << report.reduceShardCount << "\n";
     json.put("reduce_fold_seconds_w" + std::to_string(workers),
-             report.reduceCriticalSeconds);
+             report.reduceSeconds);
   }
 
   // Fold microbench: n sums over the SAME 200k hot pairs (the heavy

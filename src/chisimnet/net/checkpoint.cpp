@@ -142,7 +142,6 @@ std::uint32_t checkpointConfigHash(
   std::string text;
   text += std::to_string(config.windowStart) + "|";
   text += std::to_string(config.windowEnd) + "|";
-  text += std::to_string(static_cast<int>(config.method)) + "|";
   text += std::to_string(config.filesPerBatch) + "|";
   for (const std::filesystem::path& file : files) {
     text += file.filename().string() + "|";

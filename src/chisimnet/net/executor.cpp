@@ -8,7 +8,6 @@
 
 #include "chisimnet/runtime/thread_pool.hpp"
 #include "chisimnet/util/error.hpp"
-#include "chisimnet/util/timer.hpp"
 
 namespace chisimnet::net {
 
@@ -88,9 +87,9 @@ AdjacencySchedule SharedMemoryExecutor::mapAdjacency(
   cluster_.applyDynamic(order.size(), [&](std::size_t pull, unsigned worker) {
     const std::size_t item = order[pull];
     if (spillSums_.empty()) {
-      workerSums_[worker].addCollocation(matrices[item], config_.method);
+      workerSums_[worker].addCollocation(matrices[item]);
     } else {
-      spillSums_[worker]->addCollocation(matrices[item], config_.method);
+      spillSums_[worker]->addCollocation(matrices[item]);
     }
     schedule.loads[worker] += weights[item];
   });
@@ -101,20 +100,13 @@ AdjacencySchedule SharedMemoryExecutor::mapAdjacency(
 void SharedMemoryExecutor::reduce(sparse::SymmetricAdjacency& result) {
   CHISIM_REQUIRE(spillSums_.empty(),
                  "budgeted stage 5 must reduce into a spilling accumulator");
-  lastReduce_ = ReduceStats{};
-  lastReduce_.mergedSums = workerSums_.size();
-  util::WallTimer timer;
   result.absorb(workerSums_, config_.workers);
-  lastReduce_.criticalSeconds = timer.seconds();
-  lastReduce_.shards = result.shardCount();
   workerSums_.clear();
 }
 
 void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
   CHISIM_REQUIRE(!spillSums_.empty(),
                  "reduceInto without a budgeted mapAdjacency");
-  lastReduce_ = ReduceStats{};
-  lastReduce_.mergedSums = spillSums_.size();
   // The worker maps lived beside the sink's resident shards; their summed
   // historical peaks are reported as the (pessimistic) stage-5 transient.
   std::uint64_t workerPeak = 0;
@@ -122,7 +114,6 @@ void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
     workerPeak += sum->peakBytes();
   }
   sink.noteWorkerPeak(workerPeak);
-  util::ThreadCpuTimer timer;
   for (const auto& sum : spillSums_) {
     for (const sparse::SpillRunInfo& run : sum->runs()) {
       sink.adoptRunFile(run);  // already on disk: ownership moves, no copy
@@ -132,7 +123,6 @@ void SharedMemoryExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
     sink.addSortedRun(remainder);
     sink.addKernelStats(sum->kernelStats());
   }
-  lastReduce_.criticalSeconds = timer.seconds();
   spillSums_.clear();
 }
 

@@ -46,19 +46,6 @@ class SocketTransport;
 
 namespace chisimnet::net {
 
-/// Shape and timing of one stage-6 reduce.
-struct ReduceStats {
-  std::uint64_t mergedSums = 0;  ///< worker sums folded into the result
-  /// Row-range shards of the in-memory result after the reduce.
-  std::uint64_t shards = 0;
-  /// Rank-pair merge-tree levels (message passing; 0 on shared memory).
-  unsigned depth = 0;
-  /// Shared memory: wall seconds of the shard fold. Message passing:
-  /// Σ over tree levels of that level's slowest rank merge, plus the
-  /// root's insert of the surviving run.
-  double criticalSeconds = 0.0;
-};
-
 /// How the last stage 5 spread its matrices over the workers.
 struct AdjacencySchedule {
   /// Summed stage-4 weight each worker pulled (shared memory) or each live
@@ -104,8 +91,8 @@ class SynthesisExecutor {
       std::span<const std::uint64_t> weights) = 0;
 
   /// Stage 6: fold the worker sums held since mapAdjacency into `result`
-  /// (a parallel per-shard fold on shared memory, the rank-pair merge tree
-  /// on message passing).
+  /// (a parallel per-shard fold on shared memory, the root's insert of
+  /// every returned run on message passing).
   virtual void reduce(sparse::SymmetricAdjacency& result) = 0;
 
   /// Stage 6 under a memory budget: fold the worker sums into the
@@ -129,9 +116,6 @@ class SynthesisExecutor {
       const std::vector<sparse::SpillingAccumulator::ShardRunGroup>& groups,
       const std::function<void(const sparse::ShardSegment&)>& onSegment) = 0;
 
-  /// Shape and timing of the last reduce().
-  const ReduceStats& lastReduceStats() const noexcept { return lastReduce_; }
-
   /// Observed busy-time imbalance of the last mapAdjacency; 1.0 if the
   /// substrate cannot observe it.
   virtual double adjacencyBusyImbalance() const noexcept { return 1.0; }
@@ -154,7 +138,6 @@ class SynthesisExecutor {
 
  protected:
   const SynthesisConfig config_;
-  ReduceStats lastReduce_;
 };
 
 /// Worker threads over shared memory — the paper's SNOW fork cluster.
@@ -255,13 +238,11 @@ class MessagePassingExecutor final : public SynthesisExecutor {
   AdjacencySchedule mapAdjacency(
       const std::vector<sparse::CollocationMatrix>& matrices,
       std::span<const std::uint64_t> weights) override;
-  /// Rank-pair merge tree over the sorted triplet runs the adjacency stage
-  /// returned: each level pairs up runs, ships the pairs to the live ranks
-  /// (rank 0 inline), and two-pointer-merges them — no hash rebuild. The
-  /// surviving run is inserted into `result`. Lost-rank reassignment
-  /// applies per level.
-  /// Runs too large to cross the wire inline arrive and travel as spill
-  /// files (mp::RunRef) and are streamed, never rebuilt whole in memory.
+  /// The paper's root reduce: the root inserts every sorted run the
+  /// adjacency stage returned straight into `result` (addAll). Runs too
+  /// large to cross the wire inline arrive as spill files (mp::RunRef),
+  /// are streamed, never rebuilt whole in memory, and are then deleted;
+  /// each inline run is freed once inserted.
   void reduce(sparse::SymmetricAdjacency& result) override;
   /// Budgeted stage 6: worker run files are adopted by the sink directly
   /// (a rename-scoped ownership transfer — zero copy), inline runs are
@@ -311,8 +292,6 @@ class MessagePassingExecutor final : public SynthesisExecutor {
 
   /// Ranks currently able to take work, rank 0 first.
   std::vector<int> liveRanks() const;
-  /// Executes one level of the reduce merge tree over reduceRuns_.
-  void mergeRunsLevel();
   /// Frames and sends `body` as `command` to `rank`, recording it in
   /// pending_ for retry/reassignment.
   void sendCommand(int rank, std::uint32_t command,

@@ -21,7 +21,6 @@
 #include "chisimnet/runtime/fault.hpp"
 #include "chisimnet/runtime/socket_transport.hpp"
 #include "chisimnet/util/error.hpp"
-#include "chisimnet/util/timer.hpp"
 
 namespace chisimnet::net {
 
@@ -31,7 +30,6 @@ mp::StageParams stageParamsOf(const SynthesisConfig& config) {
   mp::StageParams params;
   params.windowStart = config.windowStart;
   params.windowEnd = config.windowEnd;
-  params.method = config.method;
   // Each stage-5 worker gets an eighth of its budget share: the cross-batch
   // sink keeps resident bytes under budget/2, and the per-batch worker maps
   // (all live at once) plus their drain transients fit in the rest.
@@ -556,8 +554,7 @@ AdjacencySchedule MessagePassingExecutor::mapAdjacency(
     }
 
     // Each rank returns its partial sum as one or more sorted runs (inline
-    // or spill files); the runs are kept as-is for reduce()/reduceInto() to
-    // merge — no per-rank hash rebuild at the root.
+    // or spill files), kept as-is for reduce()/reduceInto().
     std::vector<double> busySeconds;
     collectStage(mp::kCmdAdjacency, buildBody,
                  [this, &busySeconds](std::span<const std::byte> reply) {
@@ -597,110 +594,25 @@ AdjacencySchedule MessagePassingExecutor::mapAdjacency(
   return AdjacencySchedule{partition.loads, partition.imbalance()};
 }
 
-void MessagePassingExecutor::mergeRunsLevel() {
-  // One level of the rank-pair merge tree: adjacent runs (2k, 2k+1) pair
-  // up, the pair-merges spread round-robin over the live ranks (rank 0
-  // executes its share inline), and an odd leftover run carries to the
-  // next level. Work items are pair indices, so sendCommand/collectStage
-  // give this level the same retry and lost-rank reassignment semantics as
-  // the other stages; the merged sum is identical whichever rank performs
-  // it. Runs are only consumed after the level completes, so a reassigned
-  // pair can always be rebuilt from reduceRuns_.
-  const std::size_t pairCount = reduceRuns_.size() / 2;
-  const auto buildBody = [this](std::span<const std::size_t> items) {
-    std::vector<std::byte> body;
-    mp::put64(body, nextRunToken_++);
-    mp::put32(body, static_cast<std::uint32_t>(items.size()));
-    for (const std::size_t pair : items) {
-      mp::putRunRef(body, reduceRuns_[2 * pair]);
-      mp::putRunRef(body, reduceRuns_[2 * pair + 1]);
-    }
-    return body;
-  };
-  std::vector<mp::RunRef> next;
-  next.reserve(pairCount + (reduceRuns_.size() & 1));
-  if (reduceRuns_.size() & 1) {
-    next.push_back(std::move(reduceRuns_.back()));
-    reduceRuns_.back() = mp::RunRef{};  // moved-from; not an input file
-  }
-  const std::vector<int> live = liveRanks();
-  std::vector<std::vector<std::size_t>> shares(live.size());
-  for (std::size_t pair = 0; pair < pairCount; ++pair) {
-    // Under run shipping the root's run files are local to the root —
-    // remote workers cannot open them, so any pair touching a file run is
-    // pinned to rank 0 (live[0]; the root is always live) and executes
-    // inline. Inline-only pairs still spread across the workers.
-    const bool rootOnly = shipRuns_ && (reduceRuns_[2 * pair].isFile() ||
-                                        reduceRuns_[2 * pair + 1].isFile());
-    shares[rootOnly ? 0 : pair % shares.size()].push_back(pair);
-  }
-  for (std::size_t slot = 0; slot < live.size(); ++slot) {
-    if (shares[slot].empty()) {
-      continue;
-    }
-    std::vector<std::byte> body = buildBody(shares[slot]);
-    sendCommand(live[slot], mp::kCmdMergeRuns, std::move(shares[slot]),
-                std::move(body));
-  }
-  double levelPeak = 0.0;
-  collectStage(mp::kCmdMergeRuns, buildBody,
-               [this, &next, &levelPeak](std::span<const std::byte> reply) {
-                 std::size_t cursor = 0;
-                 levelPeak =
-                     std::max(levelPeak, mp::takeDouble(reply, cursor));
-                 const std::uint32_t count = mp::take32(reply, cursor);
-                 for (std::uint32_t pair = 0; pair < count; ++pair) {
-                   next.push_back(
-                       localizeRun(mp::takeRunRef(reply, cursor)));
-                 }
-                 CHISIM_CHECK(cursor == reply.size(),
-                              "malformed merge-runs reply");
-               });
-  // Only now that the level is complete (every pair merged somewhere, the
-  // merged outputs in `next`) are the consumed input run files superseded.
-  for (const mp::RunRef& run : reduceRuns_) {
+void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
+  // The root inserts every returned run — streamed off its spill file,
+  // which is then deleted, or inline, freed once inserted. addAll sizes
+  // each shard once for its rows, which count as reserved entries in the
+  // kernel stats.
+  for (mp::RunRef& run : reduceRuns_) {
     if (run.isFile()) {
+      runKernelStats_.mergeReservedEntries += run.triplets;
+      sparse::SpillRunReader reader(run.file);
+      result.addAll(reader);
       std::error_code ignored;
       std::filesystem::remove(run.file, ignored);
+    } else {
+      runKernelStats_.mergeReservedEntries += run.inlineRun.size();
+      sparse::SpanTripletSource source(run.inlineRun);
+      result.addAll(source);
+      run.inlineRun = {};
     }
   }
-  reduceRuns_ = std::move(next);
-  ++lastReduce_.depth;
-  lastReduce_.criticalSeconds += levelPeak;
-}
-
-void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
-  lastReduce_ = ReduceStats{};
-  lastReduce_.mergedSums = reduceRuns_.size();
-  try {
-    while (reduceRuns_.size() > 1) {
-      mergeRunsLevel();
-    }
-    // Only the single surviving run — inline or streamed off its spill
-    // file, which is then deleted — crosses into the running result. The
-    // root-side insert is on the critical path, so it counts. addAll sizes
-    // each shard once for its rows, which count as reserved entries in the
-    // kernel stats.
-    util::WallTimer timer;
-    for (const mp::RunRef& run : reduceRuns_) {
-      if (run.isFile()) {
-        runKernelStats_.mergeReservedEntries += run.triplets;
-        sparse::SpillRunReader reader(run.file);
-        result.addAll(reader);
-        std::error_code ignored;
-        std::filesystem::remove(run.file, ignored);
-      } else {
-        runKernelStats_.mergeReservedEntries += run.inlineRun.size();
-        sparse::SpanTripletSource source(run.inlineRun);
-        result.addAll(source);
-      }
-    }
-    lastReduce_.criticalSeconds += timer.seconds();
-  } catch (...) {
-    team_->rethrowServiceError();
-    throw;
-  }
-  lastReduce_.shards = result.shardCount();
   reduceRuns_.clear();
   result.addKernelStats(runKernelStats_);
   runKernelStats_ = sparse::AdjacencyKernelStats{};
@@ -708,13 +620,10 @@ void MessagePassingExecutor::reduce(sparse::SymmetricAdjacency& result) {
 }
 
 void MessagePassingExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
-  lastReduce_ = ReduceStats{};
-  lastReduce_.mergedSums = reduceRuns_.size();
   // The workers' stage-5 maps were alive concurrently with the sink's
   // resident shards — the budget guarantee must account for both.
   sink.noteWorkerPeak(workerPeakBytes_);
   try {
-    util::WallTimer timer;
     for (mp::RunRef& run : reduceRuns_) {
       if (run.isFile()) {
         sink.adoptRunFile(mp::runInfoOf(run));  // ownership transfer, no copy
@@ -722,7 +631,6 @@ void MessagePassingExecutor::reduceInto(sparse::SpillingAccumulator& sink) {
         sink.addSortedRun(run.inlineRun);
       }
     }
-    lastReduce_.criticalSeconds = timer.seconds();
   } catch (...) {
     team_->rethrowServiceError();
     throw;

@@ -20,20 +20,6 @@ namespace {
 /// run still fits inline in a reply (frame headers, stats, refs).
 constexpr std::uint64_t kReplySlackBytes = 4096;
 
-std::uint64_t runRefTriplets(const RunRef& ref) noexcept {
-  return ref.isFile() ? ref.triplets : ref.inlineRun.size();
-}
-
-/// Opens a RunRef as a pull stream. Inline refs are viewed, not copied —
-/// the ref must outlive the source.
-std::unique_ptr<sparse::TripletSource> openRunRef(const RunRef& ref) {
-  if (ref.isFile()) {
-    return std::make_unique<sparse::SpillRunReader>(ref.file);
-  }
-  return std::make_unique<sparse::SpanTripletSource>(
-      std::span<const sparse::AdjacencyTriplet>(ref.inlineRun));
-}
-
 /// Under run shipping, converts a local file ref into a shipped ref: the
 /// bytes stream to the root on kShipTag, the reply carries the bare name,
 /// and the local file is deleted (a retried command re-executes the pure
@@ -293,7 +279,6 @@ std::vector<std::byte> encodeStageParams(const StageParams& params) {
   bytes.reserve(24 + params.spillDir.size());
   put32(bytes, params.windowStart);
   put32(bytes, params.windowEnd);
-  put32(bytes, static_cast<std::uint32_t>(params.method));
   put64(bytes, params.spillThresholdBytes);
   putString(bytes, params.spillDir);
   put32(bytes, params.splitRows);
@@ -307,7 +292,6 @@ StageParams decodeStageParams(std::span<const std::byte> bytes) {
   StageParams params;
   params.windowStart = take32(bytes, cursor);
   params.windowEnd = take32(bytes, cursor);
-  params.method = static_cast<sparse::AdjacencyMethod>(take32(bytes, cursor));
   params.spillThresholdBytes = take64(bytes, cursor);
   params.spillDir = takeString(bytes, cursor);
   params.splitRows = take32(bytes, cursor);
@@ -375,7 +359,7 @@ std::vector<std::byte> executeSynthesisCommand(
                               params.spillThresholdBytes, params.splitRows,
                               params.frameTriplets);
       for (const sparse::CollocationMatrix& matrix : batch) {
-        sum.addCollocation(matrix, params.method);
+        sum.addCollocation(matrix);
       }
       std::vector<sparse::AdjacencyTriplet> remainder = sum.drainInMemory();
       const double busySeconds = busy.seconds();
@@ -422,70 +406,6 @@ std::vector<std::byte> executeSynthesisCommand(
       for (const RunRef& ref : refs) {
         putRunRef(reply, ref);
       }
-      return reply;
-    }
-    case kCmdMergeRuns: {
-      // Body: [runToken u64][pairCount u32][per pair: RunRef A, RunRef B
-      // ((i,j)-sorted runs, inline or file)]. Reply: [busySeconds f64]
-      // [pairCount u32][per pair: merged RunRef]. A merged run whose inline
-      // form would overflow the payload limit streams to
-      // <spillDir>/t<token>.m<pair>.spl instead. Pure function of its body
-      // (file contents included), so a retried or duplicated command is
-      // harmless — exactly like the other stage commands.
-      std::size_t cursor = 0;
-      const std::uint64_t token = take64(body, cursor);
-      const std::uint32_t pairCount = take32(body, cursor);
-      // Thread-CPU clock: the reduce critical-path model must not count
-      // time-slicing against co-scheduled rank threads as merge work.
-      util::ThreadCpuTimer busy;
-      std::vector<std::byte> merged;
-      std::uint64_t inlineBytesSoFar = 0;
-      for (std::uint32_t pair = 0; pair < pairCount; ++pair) {
-        const RunRef runA = takeRunRef(body, cursor);
-        const RunRef runB = takeRunRef(body, cursor);
-        std::vector<std::unique_ptr<sparse::TripletSource>> sources;
-        sources.push_back(openRunRef(runA));
-        sources.push_back(openRunRef(runB));
-        sparse::TripletMerger merger(std::move(sources));
-        // Projection is the pre-merge total (merged size is ≤ that), so an
-        // output routed inline is guaranteed to fit.
-        const std::uint64_t projectedBytes =
-            (runRefTriplets(runA) + runRefTriplets(runB)) *
-            sizeof(sparse::AdjacencyTriplet);
-        RunRef out;
-        if (inlineBytesSoFar + projectedBytes + kReplySlackBytes >
-            runtime::maxPayloadBytes()) {
-          CHISIM_CHECK(!params.spillDir.empty(),
-                       "merged run exceeds the payload limit and no spill "
-                       "directory is configured");
-          sparse::SpillRunWriter writer(
-              std::filesystem::path(params.spillDir) /
-              ("t" + std::to_string(token) + ".m" + std::to_string(pair) +
-               ".spl"));
-          sparse::AdjacencyTriplet triplet;
-          while (merger.next(triplet)) {
-            writer.append(triplet);
-          }
-          out = fileRunRef(writer.finish());
-        } else {
-          out.inlineRun.reserve(
-              static_cast<std::size_t>(projectedBytes /
-                                       sizeof(sparse::AdjacencyTriplet)));
-          sparse::AdjacencyTriplet triplet;
-          while (merger.next(triplet)) {
-            out.inlineRun.push_back(triplet);
-          }
-          inlineBytesSoFar +=
-              out.inlineRun.size() * sizeof(sparse::AdjacencyTriplet);
-        }
-        putRunRef(merged, maybeShip(params, shipper, std::move(out)));
-      }
-      CHISIM_CHECK(cursor == body.size(), "merge-runs body size mismatch");
-      std::vector<std::byte> reply;
-      reply.reserve(8 + 4 + merged.size());
-      putDouble(reply, busy.seconds());
-      put32(reply, pairCount);
-      reply.insert(reply.end(), merged.begin(), merged.end());
       return reply;
     }
     case kCmdMergeShard: {

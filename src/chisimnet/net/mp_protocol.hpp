@@ -46,7 +46,6 @@ enum Command : std::uint32_t {
   kCmdCollocation = 1,
   kCmdAdjacency = 2,
   kCmdStop = 3,
-  kCmdMergeRuns = 4,   ///< one reduce-tree level: merge sorted triplet runs
   kCmdMergeShard = 5,  ///< merge the spill runs of row-range shards into
                        ///< CADJ payload segments (stage-6 external merge)
 };
@@ -163,7 +162,6 @@ std::span<const std::byte> stringBytes(const std::string& text);
 struct StageParams {
   table::Hour windowStart = 0;
   table::Hour windowEnd = 0;
-  sparse::AdjacencyMethod method = sparse::AdjacencyMethod::kLocalAccumulate;
   /// Stage-5 worker flush threshold (≈ budget/(8·workers)); 0 = keep the
   /// whole partial sum in memory (unbudgeted).
   std::uint64_t spillThresholdBytes = 0;

@@ -231,12 +231,9 @@ void NetworkSynthesizer::processBatch(const table::EventTable& events,
     executor_->reduceInto(*sink);
   }
   report_.reduceSeconds += timer.seconds();
-  const ReduceStats& reduceStats = executor_->lastReduceStats();
-  report_.reduceTreeDepth =
-      std::max(report_.reduceTreeDepth, reduceStats.depth);
-  report_.reduceMergedSums += reduceStats.mergedSums;
-  report_.reduceShardCount = reduceStats.shards;
-  report_.reduceCriticalSeconds += reduceStats.criticalSeconds;
+  if (dense != nullptr) {
+    report_.reduceShardCount = dense->shardCount();
+  }
 
   // Kernel counters ride on the result (merged up the reduce alongside the
   // weights), so they are cumulative across batches: copy, don't add.
@@ -598,7 +595,6 @@ std::uint64_t NetworkSynthesizer::mergeShardsToFile(
   // A single in-memory batch (no file list) has no cursor to checkpoint.
   const bool checkpointing =
       !config_.checkpointDir.empty() && !logFiles.empty();
-  report_.reduceShardsUsed = resolvedReduceShards(config_);
   // The plan routes every live run to its row-range shard, splitting
   // straddlers; under deferDeletes the split inputs stay on disk so the
   // previous manifest remains resumable until the next one is written.
@@ -707,6 +703,7 @@ std::uint64_t NetworkSynthesizer::mergeShardsToFile(
     stats.addSegment(segment);
   }
   foldSpillStats(report_, stats);
+  report_.reduceShardsUsed = static_cast<unsigned>(perOwner.size());
   for (const auto& [owner, seconds] : perOwner) {
     report_.mergeCriticalSeconds =
         std::max(report_.mergeCriticalSeconds, seconds);

@@ -147,11 +147,6 @@ struct SynthesisConfig {
   table::Hour windowEnd = 168;
   unsigned workers = 4;
   SynthesisBackend backend = SynthesisBackend::kSharedMemory;
-  /// Per-place x·xᵀ kernel. kLocalAccumulate (default) gathers each
-  /// place's pairs in local row coordinates and emits once per distinct
-  /// pair; kSpGemm is the paper-faithful per-pair-hour global insert. All
-  /// methods produce bit-identical adjacencies.
-  sparse::AdjacencyMethod method = sparse::AdjacencyMethod::kLocalAccumulate;
   /// true: stage 5 is balanced by the stage-4 weights — shared memory
   /// pulls places heaviest first, message passing partitions them across
   /// ranks by LPT (the paper's scheme). false: the naive ablation baseline
@@ -360,25 +355,15 @@ struct SynthesisReport {
   std::uint64_t bytesScattered = 0;
   std::uint64_t bytesReturned = 0;
 
-  // ---- adjacency kernel (kLocalAccumulate only; zero otherwise) ----
+  // ---- adjacency kernel ----
 
   std::uint64_t kernelDensePlaces = 0;  ///< places on the triangular array
   std::uint64_t kernelHashPlaces = 0;   ///< places on the local hash
   std::uint64_t kernelPairHourUpdates = 0;  ///< local increments
   std::uint64_t kernelGlobalEmits = 0;  ///< distinct-pair global inserts
 
-  // ---- stage-6 reduce shape ----
-
-  std::uint64_t reduceMergedSums = 0;   ///< worker sums folded, all batches
   /// Row-range shards of the in-memory result after the last reduce.
   std::uint64_t reduceShardCount = 0;
-  /// Deepest message-passing rank-pair merge tree of any batch (0 on
-  /// shared memory, which folds shard by shard instead).
-  unsigned reduceTreeDepth = 0;
-  /// Σ over batches of ReduceStats::criticalSeconds: the shard fold's wall
-  /// time on shared memory; on message passing the per-level slowest rank
-  /// merge plus the root insert.
-  double reduceCriticalSeconds = 0.0;
 
   // ---- fault section: every recovery action of the run ----
 
@@ -426,7 +411,9 @@ struct SynthesisReport {
 
   // ---- sharded external merge (synthesizeToFile under a budget) ----
 
-  unsigned reduceShardsUsed = 0;  ///< resolved merge owner count
+  /// Distinct owners that merged this run's segments (at most the
+  /// configured count, fewer when there are fewer shards or live ranks).
+  unsigned reduceShardsUsed = 0;
   std::uint64_t mergeSegmentsWritten = 0;  ///< per-shard segments merged
   /// Segments restored intact from a checkpoint and spliced without
   /// re-merging (kill-during-merge resume).

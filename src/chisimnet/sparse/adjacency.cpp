@@ -216,28 +216,6 @@ ColumnIndex buildColumnIndex(const CollocationMatrix& matrix) {
   return index;
 }
 
-/// SpGEMM path: one global hash insert per pair-hour. The kernels hand
-/// every pair to `emit(packedKey, weight)`.
-template <class Emit>
-void addViaSpGemm(const CollocationMatrix& matrix, Emit&& emit) {
-  const std::size_t personCount = matrix.personCount();
-  if (personCount < 2) {
-    return;
-  }
-  const ColumnIndex index = buildColumnIndex(matrix);
-  for (std::uint32_t hour = 0; hour < matrix.sliceHours(); ++hour) {
-    const std::uint64_t begin = index.offsets[hour];
-    const std::uint64_t end = index.offsets[hour + 1];
-    for (std::uint64_t a = begin; a < end; ++a) {
-      const table::PersonId personA = matrix.personAt(index.rows[a]);
-      for (std::uint64_t b = a + 1; b < end; ++b) {
-        const table::PersonId personB = matrix.personAt(index.rows[b]);
-        emit(packPair(personA, personB), 1);
-      }
-    }
-  }
-}
-
 // Dense/hash crossover for the local-coordinate kernel. The flat triangular
 // array is used only when it fits the thread-local scratch buffer AND the
 // emit scan over every slot is bounded by a small multiple of the update
@@ -254,14 +232,18 @@ bool useDenseLocalPath(std::uint64_t pairSlots,
          pairSlots <= kDenseScanFactor * pairHours;
 }
 
-/// Local-coordinate path: accumulate this place's pairs keyed by local row
-/// indices, then emit each distinct pair into the global map exactly once.
-/// The inner loop becomes an array increment (dense) or a probe of a
-/// cache-resident local table (hash) instead of a global hash insert per
-/// pair-hour.
-template <class Emit>
-void addViaLocalAccumulate(const CollocationMatrix& matrix, Emit&& emit,
-                           AdjacencyKernelStats& stats) {
+}  // namespace
+
+// Local-coordinate kernel: accumulate this place's pairs keyed by local row
+// indices, then emit each distinct pair into the global map exactly once.
+// The inner loop becomes an array increment (dense) or a probe of a
+// cache-resident local table (hash) instead of a global hash insert per
+// pair-hour.
+void SymmetricAdjacency::addCollocation(const CollocationMatrix& matrix) {
+  // Every pair lands in the shard of its low id.
+  const auto emit = [this](std::uint64_t key, std::uint64_t weight) {
+    shardFor(pairLow(key)).add(key, weight);
+  };
   const std::uint64_t p = matrix.personCount();
   if (p < 2) {
     return;
@@ -270,10 +252,10 @@ void addViaLocalAccumulate(const CollocationMatrix& matrix, Emit&& emit,
   if (index.pairHours == 0) {
     return;
   }
-  stats.pairHourUpdates += index.pairHours;
+  kernelStats_.pairHourUpdates += index.pairHours;
   const std::uint64_t pairSlots = p * (p - 1) / 2;
   if (useDenseLocalPath(pairSlots, index.pairHours)) {
-    ++stats.densePlaces;
+    ++kernelStats_.densePlaces;
     // Scratch persists across places; invariant: all-zero outside this
     // scope (the emit loop clears every slot it touched, and assign()
     // zero-fills on growth).
@@ -307,12 +289,12 @@ void addViaLocalAccumulate(const CollocationMatrix& matrix, Emit&& emit,
                         matrix.personAt(static_cast<std::size_t>(rb))),
                slot);
           slot = 0;
-          ++stats.globalEmits;
+          ++kernelStats_.globalEmits;
         }
       }
     }
   } else {
-    ++stats.hashPlaces;
+    ++kernelStats_.hashPlaces;
     PairCountMap local(static_cast<std::size_t>(
         std::min({index.pairHours, pairSlots,
                   static_cast<std::uint64_t>(kLocalHashMaxReserve)})));
@@ -332,65 +314,8 @@ void addViaLocalAccumulate(const CollocationMatrix& matrix, Emit&& emit,
                     matrix.personAt(pairHigh(key))),
            count);
     }
-    stats.globalEmits += local.size();
+    kernelStats_.globalEmits += local.size();
   }
-}
-
-std::uint64_t sortedIntersectionSize(std::span<const std::uint32_t> a,
-                                     std::span<const std::uint32_t> b) noexcept {
-  std::uint64_t count = 0;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < a.size() && ib < b.size()) {
-    if (a[ia] < b[ib]) {
-      ++ia;
-    } else if (b[ib] < a[ia]) {
-      ++ib;
-    } else {
-      ++count;
-      ++ia;
-      ++ib;
-    }
-  }
-  return count;
-}
-
-/// Pairwise path: weight(i,j) = |hours_i ∩ hours_j| for each visitor pair.
-template <class Emit>
-void addViaIntersection(const CollocationMatrix& matrix, Emit&& emit) {
-  const std::size_t personCount = matrix.personCount();
-  for (std::size_t a = 0; a < personCount; ++a) {
-    const auto hoursA = matrix.hoursAt(a);
-    for (std::size_t b = a + 1; b < personCount; ++b) {
-      const std::uint64_t shared =
-          sortedIntersectionSize(hoursA, matrix.hoursAt(b));
-      if (shared > 0) {
-        emit(packPair(matrix.personAt(a), matrix.personAt(b)), shared);
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void SymmetricAdjacency::addCollocation(const CollocationMatrix& matrix,
-                                        AdjacencyMethod method) {
-  // Every pair lands in the shard of its low id.
-  const auto emit = [this](std::uint64_t key, std::uint64_t weight) {
-    shardFor(pairLow(key)).add(key, weight);
-  };
-  switch (method) {
-    case AdjacencyMethod::kSpGemm:
-      addViaSpGemm(matrix, emit);
-      return;
-    case AdjacencyMethod::kIntervalIntersection:
-      addViaIntersection(matrix, emit);
-      return;
-    case AdjacencyMethod::kLocalAccumulate:
-      addViaLocalAccumulate(matrix, emit, kernelStats_);
-      return;
-  }
-  CHISIM_CHECK(false, "unknown adjacency method");
 }
 
 namespace {
@@ -615,10 +540,10 @@ std::vector<AdjacencyTriplet> mergeKSortedTriplets(
 }
 
 SymmetricAdjacency adjacencyFromCollocations(
-    std::span<const CollocationMatrix> matrices, AdjacencyMethod method) {
+    std::span<const CollocationMatrix> matrices) {
   SymmetricAdjacency adjacency;
   for (const CollocationMatrix& matrix : matrices) {
-    adjacency.addCollocation(matrix, method);
+    adjacency.addCollocation(matrix);
   }
   return adjacency;
 }

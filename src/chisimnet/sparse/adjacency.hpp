@@ -20,21 +20,6 @@
 
 namespace chisimnet::sparse {
 
-/// How a per-place adjacency contribution x·xᵀ is computed.
-enum class AdjacencyMethod {
-  /// Faithful to the paper's math: for every time column, add 1 to every
-  /// pair of persons present in that column (sparse column outer products).
-  kSpGemm,
-  /// Optimized equivalent: for every pair of persons at the place, the
-  /// weight is the size of the sorted intersection of their hour lists.
-  kIntervalIntersection,
-  /// Local-coordinate accumulator: pair counts are gathered per place in
-  /// local row coordinates (a flat upper-triangular uint32 array for
-  /// small/medium places, a compact local hash for hubs) and emitted into
-  /// the global map once per distinct pair instead of once per pair-hour.
-  kLocalAccumulate,
-};
-
 /// Diagnostic counters from the local-coordinate kernel, folded through
 /// stage 6 alongside the weights (not part of the matrix value).
 struct AdjacencyKernelStats {
@@ -89,10 +74,11 @@ class SymmetricAdjacency {
   /// instead of regrowing; any order is summed correctly.
   void addAll(TripletSource& source);
 
-  /// Accumulates one place's x·xᵀ contribution.
-  void addCollocation(
-      const CollocationMatrix& matrix,
-      AdjacencyMethod method = AdjacencyMethod::kLocalAccumulate);
+  /// Accumulates one place's x·xᵀ contribution. Pair counts are gathered
+  /// in local row coordinates (a flat upper-triangular uint32 array for
+  /// small/medium places, a compact local hash for hubs) and emitted into
+  /// the global map once per distinct pair instead of once per pair-hour.
+  void addCollocation(const CollocationMatrix& matrix);
 
   /// Sums another adjacency into this one (matrix addition), serially.
   void merge(const SymmetricAdjacency& other);
@@ -245,7 +231,6 @@ std::vector<AdjacencyTriplet> mergeKSortedTriplets(
 
 /// Accumulates every matrix in `matrices` into a fresh adjacency.
 SymmetricAdjacency adjacencyFromCollocations(
-    std::span<const CollocationMatrix> matrices,
-    AdjacencyMethod method = AdjacencyMethod::kLocalAccumulate);
+    std::span<const CollocationMatrix> matrices);
 
 }  // namespace chisimnet::sparse

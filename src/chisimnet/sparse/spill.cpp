@@ -484,9 +484,8 @@ SpillingSum::SpillingSum(std::filesystem::path dir, std::string filePrefix,
   }
 }
 
-void SpillingSum::addCollocation(const CollocationMatrix& matrix,
-                                 AdjacencyMethod method) {
-  sum_.addCollocation(matrix, method);
+void SpillingSum::addCollocation(const CollocationMatrix& matrix) {
+  sum_.addCollocation(matrix);
   peakBytes_ = std::max<std::uint64_t>(peakBytes_, sum_.memoryBytes());
   if (flushEntries_ > 0 && sum_.edgeCount() > flushEntries_) {
     flush();

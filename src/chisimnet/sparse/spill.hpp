@@ -333,7 +333,7 @@ class SpillingSum {
               std::uint64_t flushThresholdBytes, std::uint32_t splitRows,
               std::uint64_t frameTriplets = kSpillFrameTriplets);
 
-  void addCollocation(const CollocationMatrix& matrix, AdjacencyMethod method);
+  void addCollocation(const CollocationMatrix& matrix);
 
   const AdjacencyKernelStats& kernelStats() const noexcept;
   /// Max in-memory bytes observed (map plus flush-sort transient).

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "chisimnet/elog/clg5.hpp"
 #include "chisimnet/elog/log_directory.hpp"
@@ -255,29 +257,7 @@ TEST_F(DistributedSynthesisTest, OccupancyWeightSameResultDifferentLoads) {
   }
 }
 
-TEST_F(DistributedSynthesisTest, AllAdjacencyMethodsAgree) {
-  const auto files = writeRandomLogs(9, 600, 2);
-  SynthesisConfig config;
-  config.windowEnd = 96;
-  config.workers = 3;
-  config.backend = SynthesisBackend::kMessagePassing;
-  config.method = sparse::AdjacencyMethod::kSpGemm;
-  NetworkSynthesizer spgemmRun(config);
-  const auto spgemm = spgemmRun.synthesizeAdjacency(files);
-  config.method = sparse::AdjacencyMethod::kIntervalIntersection;
-  NetworkSynthesizer sweepRun(config);
-  const auto sweep = sweepRun.synthesizeAdjacency(files);
-  EXPECT_EQ(spgemm.toTriplets(), sweep.toTriplets());
-  config.method = sparse::AdjacencyMethod::kLocalAccumulate;
-  NetworkSynthesizer localRun(config);
-  EXPECT_EQ(spgemm.toTriplets(), localRun.synthesizeAdjacency(files).toTriplets());
-  const auto& report = localRun.report();
-  // Kernel stats travel over the wire beside the triplet runs.
-  EXPECT_GT(report.kernelDensePlaces + report.kernelHashPlaces, 0u);
-  EXPECT_GE(report.kernelPairHourUpdates, report.kernelGlobalEmits);
-}
-
-TEST_F(DistributedSynthesisTest, TreeAndSerialReduceAgree) {
+TEST_F(DistributedSynthesisTest, RootFoldMatchesBruteForce) {
   // Ids over several row-range shards, so the root insert spans shards.
   const auto files = writeRandomLogs(
       10, 600, 2, false,
@@ -288,18 +268,29 @@ TEST_F(DistributedSynthesisTest, TreeAndSerialReduceAgree) {
   const auto reference =
       bruteForceAdjacency(elog::loadEvents(files, 0, 96), 0, 96);
   ASSERT_GT(reference.shardCount(), 1u);
-  for (const unsigned workers : {1u, 2u, 5u}) {
-    // 1 rank: its one run is inserted serially; 2 and 5 ranks merge their
-    // runs through the tree (5 is odd, so a level carries a leftover).
+  // The root inserts every run the ranks returned: one rank's, several
+  // ranks' (an odd count included), and runs that crossed a process
+  // boundary.
+  for (const auto& [transport, workers] :
+       {std::pair{MpTransport::kInProcess, 1u},
+        std::pair{MpTransport::kInProcess, 2u},
+        std::pair{MpTransport::kInProcess, 5u},
+        std::pair{MpTransport::kProcess, 3u}}) {
+    config.transport = transport;
     config.workers = workers;
+    const std::string label = std::string(mpTransportName(transport)) +
+                              " ranks " + std::to_string(workers);
     NetworkSynthesizer run(config);
     EXPECT_EQ(run.synthesizeAdjacency(files).toTriplets(),
               reference.toTriplets())
-        << "ranks " << workers;
-    EXPECT_EQ(run.report().reduceShardCount, reference.shardCount());
-    if (workers > 1) {
-      EXPECT_GE(run.report().reduceTreeDepth, 1u);
-    }
+        << label;
+    const SynthesisReport& report = run.report();
+    EXPECT_EQ(report.reduceShardCount, reference.shardCount()) << label;
+    // Kernel stats travel over the wire beside the triplet runs.
+    EXPECT_GT(report.kernelDensePlaces + report.kernelHashPlaces, 0u)
+        << label;
+    EXPECT_GE(report.kernelPairHourUpdates, report.kernelGlobalEmits)
+        << label;
   }
 }
 
@@ -349,3 +340,12 @@ TEST_F(DistributedSynthesisTest, CorruptFileSurfacesOnMessagePassing) {
 
 }  // namespace
 }  // namespace chisimnet::net
+
+int main(int argc, char** argv) {
+  // The root-fold test runs ranks as worker processes of this binary.
+  if (const auto workerExit = chisimnet::net::maybeRunSynthesisWorker()) {
+    return *workerExit;
+  }
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

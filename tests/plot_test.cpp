@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "chisimnet/stats/plot.hpp"
 
@@ -12,7 +13,12 @@ namespace {
 class PlotTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "chisimnet_plot";
+    // One directory per case: ctest runs the cases as parallel processes,
+    // and a shared one would be removed under a sibling by its TearDown.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("chisimnet_plot_" + std::string(::testing::UnitTest::GetInstance()
+                                                ->current_test_info()
+                                                ->name()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

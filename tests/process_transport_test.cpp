@@ -319,12 +319,10 @@ TEST(MpProtocolTest, StageParamsRoundTripThroughHelloPayload) {
   mp::StageParams params;
   params.windowStart = 17;
   params.windowEnd = 193;
-  params.method = sparse::AdjacencyMethod::kSpGemm;
   const auto bytes = mp::encodeStageParams(params);
   const mp::StageParams back = mp::decodeStageParams(bytes);
   EXPECT_EQ(back.windowStart, params.windowStart);
   EXPECT_EQ(back.windowEnd, params.windowEnd);
-  EXPECT_EQ(back.method, params.method);
 
   // Truncated and oversized payloads are both malformed.
   std::vector<std::byte> shortBytes(bytes.begin(), bytes.end() - 1);

@@ -12,6 +12,7 @@
 #include "chisimnet/sparse/pair_count_map.hpp"
 #include "chisimnet/util/binary_io.hpp"
 #include "chisimnet/util/rng.hpp"
+#include "spgemm_oracle.hpp"
 
 namespace chisimnet::sparse {
 namespace {
@@ -277,18 +278,21 @@ CollocationMatrix randomMatrix(std::uint64_t seed, std::size_t persons,
 class AdjacencyMethodProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
 
+// The local-accumulate kernel equals the paper's per-pair-hour SpGEMM
+// (the test oracle), and both equal the dense brute force.
 TEST_P(AdjacencyMethodProperty, AllMethodsMatchBruteForce) {
   const CollocationMatrix matrix = randomMatrix(GetParam(), 12, 24, 40);
   const auto expected = bruteForcePairs(matrix);
 
-  for (const AdjacencyMethod method :
-       {AdjacencyMethod::kSpGemm, AdjacencyMethod::kIntervalIntersection,
-        AdjacencyMethod::kLocalAccumulate}) {
-    SymmetricAdjacency adjacency;
-    adjacency.addCollocation(matrix, method);
-    EXPECT_EQ(adjacency.edgeCount(), expected.size());
+  SymmetricAdjacency local;
+  local.addCollocation(matrix);
+  SymmetricAdjacency spgemm;
+  oracle::addViaSpGemm(spgemm, matrix);
+  EXPECT_EQ(local.toTriplets(), spgemm.toTriplets());
+  for (const SymmetricAdjacency* adjacency : {&local, &spgemm}) {
+    EXPECT_EQ(adjacency->edgeCount(), expected.size());
     for (const auto& [pair, weight] : expected) {
-      EXPECT_EQ(adjacency.weight(pair.first, pair.second), weight)
+      EXPECT_EQ(adjacency->weight(pair.first, pair.second), weight)
           << "pair (" << pair.first << "," << pair.second << ")";
     }
   }
@@ -312,7 +316,7 @@ TEST(LocalAccumulateCrossover, SmallPlaceTakesDensePath) {
   // inside the dense triangular-array regime.
   const CollocationMatrix matrix = randomMatrix(3, 12, 24, 40);
   SymmetricAdjacency adjacency;
-  adjacency.addCollocation(matrix, AdjacencyMethod::kLocalAccumulate);
+  adjacency.addCollocation(matrix);
   EXPECT_EQ(adjacency.kernelStats().densePlaces, 1u);
   EXPECT_EQ(adjacency.kernelStats().hashPlaces, 0u);
   EXPECT_GT(adjacency.kernelStats().globalEmits, 0u);
@@ -331,7 +335,7 @@ TEST(LocalAccumulateCrossover, SparseOverlapTakesHashPath) {
   }
   const CollocationMatrix matrix(77, events, 0, 50);
   SymmetricAdjacency adjacency;
-  adjacency.addCollocation(matrix, AdjacencyMethod::kLocalAccumulate);
+  adjacency.addCollocation(matrix);
   EXPECT_EQ(adjacency.kernelStats().densePlaces, 0u);
   EXPECT_EQ(adjacency.kernelStats().hashPlaces, 1u);
   EXPECT_EQ(adjacency.kernelStats().pairHourUpdates, 50u);
@@ -342,10 +346,8 @@ TEST(LocalAccumulateCrossover, SparseOverlapTakesHashPath) {
 TEST(LocalAccumulateCrossover, StatsSurviveMerge) {
   SymmetricAdjacency a;
   SymmetricAdjacency b;
-  a.addCollocation(randomMatrix(4, 12, 24, 40),
-                   AdjacencyMethod::kLocalAccumulate);
-  b.addCollocation(randomMatrix(5, 12, 24, 40),
-                   AdjacencyMethod::kLocalAccumulate);
+  a.addCollocation(randomMatrix(4, 12, 24, 40));
+  b.addCollocation(randomMatrix(5, 12, 24, 40));
   const std::uint64_t updates =
       a.kernelStats().pairHourUpdates + b.kernelStats().pairHourUpdates;
   a.merge(b);

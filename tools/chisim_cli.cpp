@@ -259,17 +259,6 @@ int cmdSynthesize(const Args& args) {
   // On by default (see EXPERIMENTS.md); --occupancy-weight is still
   // accepted so existing invocations keep working.
   config.occupancyWeight = !args.has("nnz-weight");
-  const std::string method = args.str("method", "local");
-  if (method == "spgemm") {
-    config.method = sparse::AdjacencyMethod::kSpGemm;
-  } else if (method == "intersect") {
-    config.method = sparse::AdjacencyMethod::kIntervalIntersection;
-  } else if (method == "local") {
-    config.method = sparse::AdjacencyMethod::kLocalAccumulate;
-  } else {
-    throw std::invalid_argument(
-        "--method expects local, spgemm or intersect, got: " + method);
-  }
   const std::string backend = args.str("backend", "shared");
   if (backend == "mp") {
     config.backend = net::SynthesisBackend::kMessagePassing;
@@ -345,22 +334,19 @@ int cmdSynthesize(const Args& args) {
               << " KiB (" << net::mpTransportName(config.transport)
               << " transport)\n";
   }
-  if (config.method == sparse::AdjacencyMethod::kLocalAccumulate) {
-    std::cout << "kernel: " << report.kernelDensePlaces << " dense / "
-              << report.kernelHashPlaces << " hash places, "
-              << report.kernelPairHourUpdates << " local updates -> "
-              << report.kernelGlobalEmits << " global emits\n";
-  }
+  std::cout << "kernel: " << report.kernelDensePlaces << " dense / "
+            << report.kernelHashPlaces << " hash places, "
+            << report.kernelPairHourUpdates << " local updates -> "
+            << report.kernelGlobalEmits << " global emits\n";
   if (config.memoryBudgetBytes == 0) {
-    std::cout << "reduce: " << report.reduceMergedSums << " worker sums -> "
-              << report.reduceShardCount << " row-range shards, ";
+    std::cout << "reduce: ";
     if (report.backend == net::SynthesisBackend::kMessagePassing) {
-      std::cout << "rank-pair merge tree of depth " << report.reduceTreeDepth
-                << ", critical path ";
+      std::cout << "root fold of the ranks' sorted runs";
     } else {
-      std::cout << "shard fold on " << config.workers << " threads, wall ";
+      std::cout << "shard fold on " << config.workers << " threads";
     }
-    std::cout << report.reduceCriticalSeconds << " s\n";
+    std::cout << " -> " << report.reduceShardCount << " row-range shards, "
+              << report.reduceSeconds << " s\n";
   }
   std::cout << "load: " << report.loadSeconds << " s total, "
             << report.loadExposedSeconds << " s exposed on the compute path";
@@ -577,7 +563,6 @@ void printUsage() {
       "  synthesize  --logs DIR --out FILE.cadj [--window-start H] [--window-end H]\n"
       "              [--backend shared|mp] [--workers W] [--batch N]\n"
       "              [--no-balance] [--nnz-weight]\n"
-      "              [--method local|spgemm|intersect]\n"
       "              [--no-prefetch] [--prefetch-depth N] [--decode-workers W]\n"
       "              [--fault-policy failfast|degrade] [--max-quarantined-files N]\n"
       "              [--command-timeout-ms MS] [--checkpoint-dir DIR] [--resume]\n"
