@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -16,11 +17,14 @@ using table::Event;
 class ElogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("chisimnet_elog_" +
-            std::to_string(::testing::UnitTest::GetInstance()
-                               ->current_test_info()
-                               ->line()));
+    // One directory per case, parameterized instances included: ctest runs
+    // the cases as parallel processes, and a shared one would be removed
+    // under a sibling by its TearDown.
+    std::string name = ::testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    dir_ = std::filesystem::temp_directory_path() / ("chisimnet_elog_" + name);
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -8,11 +8,9 @@
 #include "chisimnet/sparse/collocation.hpp"
 
 /// The paper's per-place kernel as written: A += x·xᵀ by sparse column
-/// outer products, one global insert per pair-hour. The library ran it as a
-/// selectable kernel until the local-coordinate accumulator replaced it.
-/// Kept only as a reference: the kernel tests require the library's
-/// adjacency to equal it, and bench_spgemm gates the library kernel's
-/// speed against it.
+/// outer products, one global insert per pair-hour. A reference only: the
+/// kernel tests require the library's adjacency to equal it, and
+/// bench_spgemm gates the library kernel's speed against it.
 
 namespace chisimnet::sparse::oracle {
 
